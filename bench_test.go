@@ -788,6 +788,16 @@ func TestWriteBenchPipeline(t *testing.T) {
 				}
 			}},
 		}),
+		// Blocked-interval index: the ActiveTime queries attribution issues
+		// (every leaf × slice of its span), from a dropped index (cold:
+		// build + query) and from a built one (warm: query only).
+		timeConfigs("blocked_index", "index=cold", []config{
+			{"index=cold", func() {
+				tr.Root.InvalidateBlockIndex()
+				activeTimeQueries(leaves, slices)
+			}},
+			{"index=warm", func() { activeTimeQueries(leaves, slices) }},
+		}),
 	}
 
 	// The binary format exists to be faster; a bench run where it is not is a
@@ -864,6 +874,20 @@ func TestWriteBenchPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_pipeline.json (host_cpus=%d, run_id=%s)", out.HostCPUs, meta.ID)
+}
+
+var activeTimeSink vtime.Duration
+
+// activeTimeQueries asks each leaf's ActiveTime for every timeslice of its
+// span, as attribution's discovery pass does.
+func activeTimeQueries(leaves []*core.Phase, slices core.Timeslices) {
+	for _, leaf := range leaves {
+		first, last := slices.Range(leaf.Start, leaf.End)
+		for k := first; k < last; k++ {
+			t0, t1 := slices.Bounds(k)
+			activeTimeSink += leaf.ActiveTime(t0, t1)
+		}
+	}
 }
 
 // BenchmarkDataflowEngine measures the Spark-like extension engine.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"grade10/internal/enginelog"
 	"grade10/internal/vtime"
@@ -38,6 +39,10 @@ type Phase struct {
 	// Blocked lists the blocking events logged against this phase, sorted by
 	// start time.
 	Blocked []BlockInterval
+
+	// index caches the effective blocking behind BlockedWithin and
+	// ActiveTime; see InvalidateBlockIndex.
+	index atomic.Pointer[blockIndex]
 }
 
 // Duration returns End-Start.
@@ -80,38 +85,9 @@ func (p *Phase) BlockedTime(resource string) vtime.Duration {
 // BlockedWithin returns the unioned blocking time of this phase and its
 // ancestors inside the window [t0, t1), restricted to the named resource
 // (empty = any): if a parent is stalled, its running children are stalled
-// too.
+// too. Ancestor blocking counts only within the phase's own [Start, End).
 func (p *Phase) BlockedWithin(resource string, t0, t1 vtime.Time) vtime.Duration {
-	var intervals []BlockInterval
-	for q := p; q != nil; q = q.Parent {
-		for _, b := range q.Blocked {
-			if resource != "" && b.Resource != resource {
-				continue
-			}
-			if b.End > t0 && b.Start < t1 {
-				intervals = append(intervals, BlockInterval{
-					Start: vtime.Max(b.Start, t0), End: vtime.Min(b.End, t1),
-				})
-			}
-		}
-	}
-	if len(intervals) == 0 {
-		return 0
-	}
-	sort.Slice(intervals, func(i, j int) bool { return intervals[i].Start < intervals[j].Start })
-	var total vtime.Duration
-	var lastEnd vtime.Time = t0
-	for _, b := range intervals {
-		s := b.Start
-		if s < lastEnd {
-			s = lastEnd
-		}
-		if b.End > s {
-			total += b.End.Sub(s)
-			lastEnd = b.End
-		}
-	}
-	return total
+	return p.blocking().list(resource).within(t0, t1)
 }
 
 // ActiveTime returns the time within [t0, t1) during which the phase was
@@ -123,7 +99,7 @@ func (p *Phase) ActiveTime(t0, t1 vtime.Time) vtime.Duration {
 	if hi <= lo {
 		return 0
 	}
-	return hi.Sub(lo) - p.BlockedWithin("", lo, hi)
+	return hi.Sub(lo) - p.blocking().any.within(lo, hi)
 }
 
 // ActiveFraction returns ActiveTime normalized by the window length.
@@ -215,9 +191,14 @@ func BuildExecutionTrace(log *enginelog.Log, model *ExecutionModel) (*ExecutionT
 		}
 	}
 	if len(open) > 0 {
+		// Name the smallest open path so the error is the same every run.
+		first := ""
 		for path := range open {
-			return nil, fmt.Errorf("core: phase %q never ended", path)
+			if first == "" || path < first {
+				first = path
+			}
 		}
+		return nil, fmt.Errorf("core: phase %q never ended", first)
 	}
 	if len(tr.ByPath) == 0 {
 		return nil, fmt.Errorf("core: log contains no phases")

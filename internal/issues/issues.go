@@ -306,6 +306,7 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 	leaves []*core.Phase, res string, cfg Config) Durations {
 	durs := Durations{}
 	slices := prof.Slices
+	limiters := map[limiterKey][]*attribution.InstanceProfile{}
 	for _, leaf := range leaves {
 		newDur := Intrinsic(leaf)
 		// Blocking bottlenecks on res disappear entirely — including stalls
@@ -330,7 +331,13 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 				if active <= 0 {
 					continue
 				}
-				limit := nextLimit(prof, leaf, res, k)
+				key := limiterKey{leaf.Type, leaf.Machine}
+				insts, ok := limiters[key]
+				if !ok {
+					insts = nextLimiters(prof, leaf, res)
+					limiters[key] = insts
+				}
+				limit := nextLimit(insts, k)
 				if limit < cfg.BottleneckFloor {
 					limit = cfg.BottleneckFloor
 				}
@@ -348,12 +355,17 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 	return durs
 }
 
-// nextLimit estimates, for a phase bottlenecked on res during slice k, the
-// utilization fraction of the most-loaded *other* resource the phase uses in
-// that slice — the fraction of the slice the phase would still need if res
-// were infinitely fast.
-func nextLimit(prof *attribution.Profile, leaf *core.Phase, res string, k int) float64 {
-	maxUtil := 0.0
+// limiterKey groups the leaves that share nextLimiters' result.
+type limiterKey struct {
+	typ     *core.PhaseType
+	machine int
+}
+
+// nextLimiters lists the profile instances, other than res, that a leaf of
+// this type on this machine uses: the candidates for its next-limiting
+// resource.
+func nextLimiters(prof *attribution.Profile, leaf *core.Phase, res string) []*attribution.InstanceProfile {
+	var out []*attribution.InstanceProfile
 	for _, ip := range prof.Instances {
 		if ip.Instance.Resource.Name == res {
 			continue
@@ -361,10 +373,21 @@ func nextLimit(prof *attribution.Profile, leaf *core.Phase, res string, k int) f
 		if ip.Instance.Resource.PerMachine && ip.Instance.Machine != leaf.Machine {
 			continue
 		}
-		rule := prof.Rules.Get(leaf.Type.Path(), ip.Instance.Resource.Name)
-		if rule.Kind == core.RuleNone {
+		if prof.Rules.Get(leaf.Type.Path(), ip.Instance.Resource.Name).Kind == core.RuleNone {
 			continue
 		}
+		out = append(out, ip)
+	}
+	return out
+}
+
+// nextLimit estimates, for a phase bottlenecked on a resource during slice
+// k, the utilization fraction of the most-loaded other resource the phase
+// uses in that slice (insts, from nextLimiters) — the fraction of the slice
+// the phase would still need if the bottleneck were infinitely fast.
+func nextLimit(insts []*attribution.InstanceProfile, k int) float64 {
+	maxUtil := 0.0
+	for _, ip := range insts {
 		if u := ip.Consumption[k] / ip.Instance.Resource.Capacity; u > maxUtil {
 			maxUtil = u
 		}

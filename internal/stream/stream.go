@@ -423,6 +423,8 @@ func (e *Engine) ingestEventLocked(ev enginelog.Event) {
 		ph.Blocked = append(ph.Blocked, core.BlockInterval{
 			Resource: ev.Resource, Start: ev.Time, End: ev.End,
 		})
+		// Closed, still-pending descendants inherit the new stall.
+		ph.InvalidateBlockIndex()
 		e.noteWatermarkLocked(ev.End)
 
 	case enginelog.Counter:
@@ -451,6 +453,7 @@ func (e *Engine) closePhaseLocked(ph *core.Phase, end vtime.Time) {
 	ph.End = end
 	delete(e.open, ph.Path)
 	sort.Slice(ph.Blocked, func(i, j int) bool { return ph.Blocked[i].Start < ph.Blocked[j].Start })
+	ph.InvalidateBlockIndex()
 	if end > e.maxEnd {
 		e.maxEnd = end
 	}
@@ -675,6 +678,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 	for _, ph := range e.open {
 		if ph.Start < w1 && len(ph.Children) == 0 && ph.Type != nil && ph.Type.IsLeaf() {
 			ph.End = horizon
+			ph.InvalidateBlockIndex()
 			reopened = append(reopened, ph)
 			leaves = append(leaves, ph)
 		}
@@ -719,6 +723,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		e.cfg.Parallelism, e.cfg.Tracer, arec)
 	for _, ph := range reopened {
 		ph.End = -1
+		ph.InvalidateBlockIndex()
 	}
 	if err != nil {
 		span.End()
