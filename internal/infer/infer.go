@@ -65,9 +65,10 @@ func InferRules(tr *core.ExecutionTrace, resource string,
 	}
 
 	// Collect leaf types in a stable order.
+	leaves := tr.Leaves()
 	typeIndex := map[string]int{}
 	var types []string
-	for _, leaf := range tr.Leaves() {
+	for _, leaf := range leaves {
 		tp := leaf.Type.Path()
 		if _, ok := typeIndex[tp]; !ok {
 			typeIndex[tp] = len(types)
@@ -90,16 +91,23 @@ func InferRules(tr *core.ExecutionTrace, resource string,
 	}
 	atb := make([]float64, n)
 
+	// Accumulate machines in index order: float sums depend on the order,
+	// and map iteration would make the fit differ from run to run.
+	machines := make([]int, 0, len(monitoring))
+	for machine := range monitoring {
+		machines = append(machines, machine)
+	}
+	sort.Ints(machines)
 	row := make([]float64, n)
-	for machine, samples := range monitoring {
-		truth := samples.ToSeries()
+	for _, machine := range machines {
+		truth := monitoring[machine].ToSeries()
 		for k := 0; k < slices.Count; k++ {
 			t0, t1 := slices.Bounds(k)
 			for i := range row {
 				row[i] = 0
 			}
 			any := false
-			for _, leaf := range tr.Leaves() {
+			for _, leaf := range leaves {
 				if machine != core.GlobalMachine && leaf.Machine != machine {
 					continue
 				}

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"grade10/internal/cluster"
@@ -161,5 +162,46 @@ func TestInferValidation(t *testing.T) {
 	}
 	if _, err := InferRules(tr, "cpu", nil, Options{}); err == nil {
 		t.Fatal("no monitoring accepted")
+	}
+}
+
+func TestInferDeterministic(t *testing.T) {
+	cfg := giraphsim.DefaultConfig()
+	cfg.Workers = 4
+	cfg.ThreadsPerWorker = 2
+	g := graph.RMAT(10, 8, 7)
+	run, err := giraphsim.Run(vertexprog.NewPageRank(g, 0.85, 3), graph.HashPartition(g, cfg.Workers), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := giraphModels(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := core.BuildExecutionTrace(run.Log, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitoring := map[int]*metrics.SampleSeries{}
+	for m := 0; m < cfg.Workers; m++ {
+		truth, err := run.Cluster.GroundTruth(m, cluster.ResCPU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		monitoring[m] = metrics.SampleSeriesOf(truth, run.Start, run.End, 10*vtime.Millisecond)
+	}
+	opts := Options{Timeslice: 10 * vtime.Millisecond}
+	first, err := InferRules(tr, cluster.ResCPU, monitoring, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		res, err := InferRules(tr, cluster.ResCPU, monitoring, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d: fit differs from the first run:\n%+v\n%+v", i, res, first)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package issues
 
 import (
+	"slices"
+
 	"grade10/internal/core"
 	"grade10/internal/vtime"
 )
@@ -23,115 +25,119 @@ type CriticalStep struct {
 // possible where a leaf's start was pinned by its parent's start rather than
 // another leaf.
 func CriticalPath(tr *core.ExecutionTrace) []CriticalStep {
-	r := &replay{
-		start:  map[*core.Phase]vtime.Time{},
-		end:    map[*core.Phase]vtime.Time{},
-		sync:   map[string]vtime.Time{},
-		groups: map[string][]*core.Phase{},
-	}
-	r.index(tr.Root)
-	makespan := r.endOf(tr.Root)
+	pl := compile(tr)
+	cp := critical{pl, make([]vtime.Time, len(pl.slot))}
+	makespan := vtime.Time(pl.run(cp.val, pl.intrinsic))
 
 	// Find the leaf whose replayed end matches the makespan; among ties take
 	// the lexicographically first for determinism.
-	var cur *core.Phase
-	for _, leaf := range tr.Leaves() {
-		if r.endOf(leaf) == makespan {
-			if cur == nil || leaf.Path < cur.Path {
-				cur = leaf
-			}
+	cur := int32(-1)
+	for i := int32(1); i < int32(len(pl.phases)); i++ {
+		if pl.size[i] == 1 && cp.end(i) == makespan &&
+			(cur < 0 || pl.phases[i].Path < pl.phases[cur].Path) {
+			cur = i
 		}
 	}
 	// A sync-group leaf's coupled end may exceed every leaf's raw end only
 	// when the group's straggler is itself a leaf, so cur is found whenever
 	// the trace has leaves at all.
-	if cur == nil {
+	if cur < 0 {
 		return nil
 	}
 
 	var path []CriticalStep
-	seen := map[*core.Phase]bool{}
-	for cur != nil && !seen[cur] {
+	seen := make([]bool, len(pl.phases))
+	for cur >= 0 && !seen[cur] {
 		seen[cur] = true
-		path = append(path, CriticalStep{Phase: cur, Start: r.startOf(cur), End: r.endOf(cur)})
-		cur = r.pinnedBy(cur)
+		path = append(path, CriticalStep{Phase: pl.phases[cur], Start: cp.start(cur), End: cp.end(cur)})
+		cur = cp.pinnedBy(cur)
 	}
-	// Reverse into execution order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path) // into execution order
 	return path
 }
 
+// critical reads a replayed plan's node values by phase.
+type critical struct {
+	pl  *plan
+	val []vtime.Time
+}
+
+func (c critical) start(i int32) vtime.Time { return c.val[c.pl.node[2*i]] }
+func (c critical) raw(i int32) vtime.Time   { return c.val[c.pl.node[2*i+1]] }
+
+func (c critical) end(i int32) vtime.Time {
+	if g := c.pl.group[i]; g >= 0 {
+		return c.val[c.pl.node[2*int32(len(c.pl.phases))+g]]
+	}
+	return c.raw(i)
+}
+
 // pinnedBy returns the leaf that determined p's (or its sync group's)
-// schedule, or nil when p starts with its ancestors at time zero.
-func (r *replay) pinnedBy(p *core.Phase) *core.Phase {
+// schedule, or -1 when p starts with its ancestors at time zero.
+func (c critical) pinnedBy(p int32) int32 {
+	pl := c.pl
 	// If p belongs to a sync group and its raw end is below the group end,
 	// the straggling member is the real constraint.
-	if p.Type != nil && p.Type.SyncGroup {
-		key := syncKey(p)
-		groupEnd := r.syncEnd(key)
-		if r.rawEnd(p) < groupEnd {
-			for _, m := range r.groups[key] {
-				if m != p && r.rawEnd(m) == groupEnd {
-					return r.deepestLeafEndingAt(m, groupEnd)
+	if g := pl.group[p]; g >= 0 {
+		groupEnd := c.end(p)
+		if c.raw(p) < groupEnd {
+			for _, m := range pl.members[pl.groupOff[g]:pl.groupOff[g+1]] {
+				if m != p && c.raw(m) == groupEnd {
+					return c.deepestLeafEndingAt(m, groupEnd)
 				}
 			}
 		}
 	}
 	// Otherwise walk up from p until an ancestor whose start was pinned by a
 	// predecessor, and descend into the predecessor's latest leaf.
-	for q := p; q != nil; q = q.Parent {
-		start := r.startOf(q)
+	for q := p; q >= 0; q = pl.parent[q] {
+		start := c.start(q)
 		if start == 0 {
-			return nil
+			return -1
 		}
-		if q.Parent != nil && r.startOf(q.Parent) == start {
+		if par := pl.parent[q]; par >= 0 && c.start(par) == start {
 			continue // inherited from the parent: keep climbing
 		}
-		pred := r.predecessorEndingAt(q, start)
-		if pred != nil {
-			return r.deepestLeafEndingAt(pred, start)
+		if pred := c.predecessorEndingAt(q, start); pred >= 0 {
+			return c.deepestLeafEndingAt(pred, start)
 		}
 	}
-	return nil
+	return -1
 }
 
-// predecessorEndingAt finds the sibling (After edge or sequential
-// predecessor) whose replayed end equals q's start.
-func (r *replay) predecessorEndingAt(q *core.Phase, start vtime.Time) *core.Phase {
-	if q.Parent == nil || q.Type == nil {
-		return nil
+// predecessorEndingAt finds the first sibling in child order (After edge or
+// earlier sequential instance) whose replayed end equals q's start.
+func (c critical) predecessorEndingAt(q int32, start vtime.Time) int32 {
+	pl := c.pl
+	par, typ := pl.parent[q], pl.phases[q].Type
+	if par < 0 || typ == nil {
+		return -1
 	}
-	after := map[string]bool{}
-	for _, a := range q.Type.After {
-		after[a] = true
-	}
-	for _, sib := range q.Parent.Children {
-		if sib == q || sib.Type == nil {
+	for s := par + 1; s < par+pl.size[par]; s += pl.size[s] {
+		sib := pl.phases[s].Type
+		if s == q || sib == nil {
 			continue
 		}
-		isPred := after[sib.Type.Name] ||
-			(q.Type.Sequential && sib.Type == q.Type && sib.Index() >= 0 && sib.Index() < q.Index())
-		if isPred && r.endOf(sib) == start {
-			return sib
+		isPred := slices.Contains(typ.After, sib.Name) ||
+			(sib == typ && pl.index[s] >= 0 && pl.index[s] < pl.index[q])
+		if isPred && c.end(s) == start {
+			return s
 		}
 	}
-	return nil
+	return -1
 }
 
 // deepestLeafEndingAt descends from p to a leaf whose replayed end matches t.
-func (r *replay) deepestLeafEndingAt(p *core.Phase, t vtime.Time) *core.Phase {
-	for len(p.Children) > 0 {
-		var next *core.Phase
-		for _, c := range p.Children {
-			if r.endOf(c) == t {
-				if next == nil || c.Path < next.Path {
-					next = c
-				}
+func (c critical) deepestLeafEndingAt(p int32, t vtime.Time) int32 {
+	pl := c.pl
+	for pl.size[p] > 1 {
+		next := int32(-1)
+		for ch := p + 1; ch < p+pl.size[p]; ch += pl.size[ch] {
+			if c.end(ch) == t && (next < 0 || pl.phases[ch].Path < pl.phases[next].Path) {
+				next = ch
 			}
 		}
-		if next == nil {
+		if next < 0 {
 			return p
 		}
 		p = next

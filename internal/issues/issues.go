@@ -171,18 +171,20 @@ type Report struct {
 }
 
 // Analyze runs all §III-F detectors: per-resource bottleneck removal,
-// per-type imbalance, and straggler detection. The candidate-issue replays
-// are independent of each other — each perturbs its own Durations copy and
-// re-simulates the trace — so they run on cfg.Parallelism workers; results
+// per-type imbalance, and straggler detection. The trace is compiled into
+// one replay plan; the candidate-issue replays are independent of each
+// other — each perturbs the leaf durations in its own buffer and re-runs the
+// shared plan — so they run on cfg.Parallelism workers; results
 // land in a pre-sized slice indexed by candidate and are filtered in order,
 // keeping the report identical to a serial run.
 func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Report {
 	cfg.fill()
-	tr := prof.Trace
-	leaves := tr.Leaves()
-	rep := &Report{Original: Replay(tr, nil)}
+	pl := compile(prof.Trace)
+	base := pl.buffer()
+	rep := &Report{Original: pl.run(base.val, base.durs)}
+	bufPool.Put(base)
 
-	groups := Groups(tr)
+	groups, slots := groupsOf(pl.leaves)
 	resources := bottleneckResources(prof, btl)
 	typePaths := groupTypePaths(groups)
 
@@ -206,18 +208,19 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 			span.SetDetail(c.kind.String() + ":" + c.name)
 		}
 		issue := Issue{Kind: c.kind, Original: rep.Original}
-		var durs Durations
+		b := pl.buffer()
 		switch c.kind {
 		case BottleneckImpact:
 			issue.Resource = c.name
-			durs = removeBottleneck(prof, btl, leaves, c.name, cfg)
+			removeBottleneck(prof, btl, pl, c.name, cfg, b)
 		case ImbalanceImpact:
 			issue.PhaseType = c.name
-			durs = balanceType(groups, c.name)
+			balanceType(pl, groups, slots, c.name, b)
 		}
-		issue.Optimistic = Replay(tr, durs)
+		issue.Optimistic = pl.run(b.val, b.durs)
 		issue.Impact = impact(rep.Original, issue.Optimistic)
-		issue.Trail = trailOf(durs)
+		issue.Trail = trailOf(pl, b)
+		bufPool.Put(b)
 		results[i] = issue
 		span.End()
 	})
@@ -228,8 +231,8 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 		}
 	}
 
-	rep.Outliers = DetectOutliers(tr, cfg)
-	rep.Underutilization = DetectUnderutilization(prof, cfg.UnderutilizationThreshold)
+	rep.Outliers = detectOutliers(groups, cfg)
+	rep.Underutilization = detectUnderutilization(prof, pl.leaves, cfg.UnderutilizationThreshold)
 	rep.Burstiness = DetectBurstiness(prof)
 
 	sort.Slice(rep.Issues, func(i, j int) bool { return rep.Issues[i].Impact > rep.Issues[j].Impact })
@@ -240,9 +243,10 @@ func Analyze(prof *attribution.Profile, btl *bottleneck.Report, cfg Config) *Rep
 // type: the evidence of which work the hypothesis actually shortened.
 // Deterministic: sorted by delta ascending (largest savings first), then
 // type path, and capped at maxTrailEntries.
-func trailOf(durs Durations) []TrailEntry {
+func trailOf(pl *plan, b *replayBuf) []TrailEntry {
 	byType := map[string]*TrailEntry{}
-	for leaf, newDur := range durs {
+	for _, s := range b.changed {
+		leaf := pl.leaves[s]
 		tp := "(untyped)"
 		if leaf.Type != nil {
 			tp = leaf.Type.Path()
@@ -253,7 +257,7 @@ func trailOf(durs Durations) []TrailEntry {
 			byType[tp] = e
 		}
 		e.Phases++
-		e.DeltaNS += int64(newDur - Intrinsic(leaf))
+		e.DeltaNS += int64(b.durs[s] - pl.intrinsic[s])
 	}
 	out := make([]TrailEntry, 0, len(byType))
 	for _, e := range byType {
@@ -297,18 +301,17 @@ func bottleneckResources(prof *attribution.Profile, btl *bottleneck.Report) []st
 	return out
 }
 
-// removeBottleneck computes optimistic leaf durations with all bottlenecks
-// on resource res eliminated: blocking time on res vanishes, and slices
-// where the phase was bottlenecked on res shrink to what the next-limiting
-// resource allows (§III-F, "how much shorter a phase could become until
-// another resource becomes bottlenecked").
+// removeBottleneck sets in buf the optimistic leaf durations with all
+// bottlenecks on resource res eliminated: blocking time on res vanishes, and
+// slices where the phase was bottlenecked on res shrink to what the
+// next-limiting resource allows (§III-F, "how much shorter a phase could
+// become until another resource becomes bottlenecked").
 func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
-	leaves []*core.Phase, res string, cfg Config) Durations {
-	durs := Durations{}
+	pl *plan, res string, cfg Config, buf *replayBuf) {
 	slices := prof.Slices
 	limiters := map[limiterKey][]*attribution.InstanceProfile{}
-	for _, leaf := range leaves {
-		newDur := Intrinsic(leaf)
+	for s, leaf := range pl.leaves {
+		newDur := pl.intrinsic[s]
 		// Blocking bottlenecks on res disappear entirely — including stalls
 		// inherited from ancestors (a GC pause logged on the worker phase
 		// stalls every thread under it). Waits already stripped as elastic
@@ -348,11 +351,10 @@ func removeBottleneck(prof *attribution.Profile, btl *bottleneck.Report,
 		if newDur < 0 {
 			newDur = 0
 		}
-		if newDur != Intrinsic(leaf) {
-			durs[leaf] = newDur
+		if newDur != pl.intrinsic[s] {
+			buf.set(s, newDur)
 		}
 	}
-	return durs
 }
 
 // limiterKey groups the leaves that share nextLimiters' result.
@@ -411,24 +413,23 @@ func groupTypePaths(groups []Group) []string {
 	return out
 }
 
-// balanceType sets every member of each concurrency group of the given type
-// to the group's mean intrinsic duration, preserving total work (§III-F).
-func balanceType(groups []Group, typePath string) Durations {
-	durs := Durations{}
-	for _, g := range groups {
-		if g.TypePath != typePath || len(g.Members) < 2 {
+// balanceType sets in b every member of each concurrency group of the given
+// type to the group's mean intrinsic duration, preserving total work
+// (§III-F). slots holds the groups' member slots, as from groupsOf.
+func balanceType(pl *plan, groups []Group, slots [][]int32, typePath string, b *replayBuf) {
+	for g, grp := range groups {
+		if grp.TypePath != typePath || len(grp.Members) < 2 {
 			continue
 		}
 		var total vtime.Duration
-		for _, m := range g.Members {
-			total += Intrinsic(m)
+		for _, s := range slots[g] {
+			total += pl.intrinsic[s]
 		}
-		mean := total / vtime.Duration(len(g.Members))
-		for _, m := range g.Members {
-			durs[m] = mean
+		mean := total / vtime.Duration(len(slots[g]))
+		for _, s := range slots[g] {
+			b.set(int(s), mean)
 		}
 	}
-	return durs
 }
 
 // DetectOutliers finds stragglers: members of a concurrency group whose
@@ -438,8 +439,13 @@ func balanceType(groups []Group, typePath string) Durations {
 // excluded.
 func DetectOutliers(tr *core.ExecutionTrace, cfg Config) []Outlier {
 	cfg.fill()
+	return detectOutliers(Groups(tr), cfg)
+}
+
+// detectOutliers is DetectOutliers over the trace's concurrency groups.
+func detectOutliers(groups []Group, cfg Config) []Outlier {
 	var out []Outlier
-	for _, g := range Groups(tr) {
+	for _, g := range groups {
 		if len(g.Members) < 2 || g.MaxDuration() < cfg.MinOutlierGroupDuration {
 			continue
 		}

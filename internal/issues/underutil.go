@@ -2,6 +2,7 @@ package issues
 
 import (
 	"grade10/internal/attribution"
+	"grade10/internal/core"
 	"grade10/internal/vtime"
 )
 
@@ -27,24 +28,33 @@ type Underutilization struct {
 // but no consumable resource exceeded threshold·capacity. A threshold ≤ 0
 // defaults to 0.5.
 func DetectUnderutilization(prof *attribution.Profile, threshold float64) Underutilization {
+	return detectUnderutilization(prof, prof.Trace.Leaves(), threshold)
+}
+
+// detectUnderutilization is DetectUnderutilization over the trace's leaves.
+// One sweep over the leaves marks the active slices: each leaf checks only
+// the slices its span overlaps that no earlier leaf has marked yet.
+func detectUnderutilization(prof *attribution.Profile, leaves []*core.Phase, threshold float64) Underutilization {
 	if threshold <= 0 {
 		threshold = 0.5
 	}
 	u := Underutilization{Threshold: threshold}
 	slices := prof.Slices
-	leaves := prof.Trace.Leaves()
+	active := make([]bool, slices.Count)
+	for _, leaf := range leaves {
+		first, last := slices.Range(leaf.Start, leaf.End)
+		for k := first; k < last; k++ {
+			if !active[k] {
+				t0, t1 := slices.Bounds(k)
+				active[k] = leaf.ActiveTime(t0, t1) > 0
+			}
+		}
+	}
 	var span vtime.Duration
 	for k := 0; k < slices.Count; k++ {
 		t0, t1 := slices.Bounds(k)
 		span += t1.Sub(t0)
-		active := false
-		for _, leaf := range leaves {
-			if leaf.ActiveTime(t0, t1) > 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
+		if !active[k] {
 			continue
 		}
 		busy := false
