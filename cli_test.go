@@ -1,11 +1,17 @@
 package grade10_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCLIPipeline exercises the full file-based pipeline of the paper's
@@ -260,5 +266,173 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatal("-fail-on-regress exited 0 on a regression")
 	} else if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 3 {
 		t.Fatalf("-fail-on-regress exit: %v, want status 3", err)
+	}
+}
+
+// TestCLIArchiveCrossCommand: every command reads and writes one archive.
+// serve -fleet creates a four-shard archive and archives a run; grade10
+// -diff resolves that run's ID; grade10 -store appends a second run to the
+// same archive; and a reopened serve -fleet diffs the two. No command
+// writes a root index.json beside the shards.
+func TestCLIArchiveCrossCommand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	dir := t.TempDir()
+	bin := func(name string) string { return filepath.Join(dir, name) }
+	for _, tool := range []string{"runsim", "grade10", "serve"} {
+		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
+		if err != nil {
+			t.Fatalf("building %s: %v\n%s", tool, err, out)
+		}
+	}
+	run := func(name string, args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin(name), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
+		}
+		return string(out)
+	}
+	stage := filepath.Join(dir, "stage")
+	runA, runB := filepath.Join(stage, "quiet"), filepath.Join(dir, "noisy")
+	run("runsim", "-engine", "giraph", "-algorithm", "pagerank", "-workers", "2", "-out", runA)
+	run("runsim", "-engine", "giraph", "-algorithm", "pagerank", "-workers", "2",
+		"-noise", "7.5", "-out", runB)
+	archive := filepath.Join(dir, "archive")
+
+	// serveFleet starts serve -fleet over a fresh watch dir and returns its
+	// base URL, the watch dir, and a stop function that interrupts it.
+	serveFleet := func(name string) (string, string, func()) {
+		t.Helper()
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := l.Addr().String()
+		l.Close()
+		watch := filepath.Join(dir, name)
+		if err := os.MkdirAll(watch, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		cmd := exec.Command(bin("serve"), "-fleet", watch, "-addr", addr,
+			"-store", archive, "-store-shards", "4")
+		cmd.Stdout, cmd.Stderr = &log, &log
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		stopped := false
+		stop := func() {
+			if stopped {
+				return
+			}
+			stopped = true
+			_ = cmd.Process.Signal(os.Interrupt)
+			done := make(chan error, 1)
+			go func() { done <- cmd.Wait() }()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				_ = cmd.Process.Kill()
+				<-done
+				t.Errorf("serve did not stop on interrupt:\n%s", log.String())
+			}
+		}
+		t.Cleanup(stop)
+		base := "http://" + addr
+		for i := 0; ; i++ {
+			resp, err := http.Get(base + "/fleet/runs")
+			if err == nil {
+				resp.Body.Close()
+				break
+			}
+			if i == 100 {
+				stop()
+				t.Fatalf("serve never came up: %v\n%s", err, log.String())
+			}
+			time.Sleep(100 * time.Millisecond)
+		}
+		return base, watch, stop
+	}
+
+	// 1. serve -fleet archives run A into a new four-shard archive.
+	base, watch, stop := serveFleet("watch-1")
+	if err := os.Rename(runA, filepath.Join(watch, "quiet")); err != nil {
+		t.Fatal(err)
+	}
+	var idA string
+	for i := 0; idA == "" && i < 200; i++ {
+		time.Sleep(100 * time.Millisecond)
+		resp, err := http.Get(base + "/fleet/runs")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Runs []struct {
+				Status    string `json:"status"`
+				ArchiveID string `json:"archive_id"`
+			} `json:"runs"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&snap)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Runs) == 1 && snap.Runs[0].Status == "done" {
+			idA = snap.Runs[0].ArchiveID
+		}
+	}
+	stop()
+	if idA == "" {
+		t.Fatal("serve -fleet never archived the run")
+	}
+
+	// 2. grade10 -diff resolves the ID serve archived.
+	if out := run("grade10", "-store", archive, "-diff", idA, idA); !strings.Contains(out, "verdict:") {
+		t.Fatalf("grade10 -diff of the served run:\n%s", out)
+	}
+
+	// 3. grade10 -store appends to the same archive.
+	out := run("grade10", "-run", runB, "-store", archive, "-run-label", "noisy")
+	var idB string
+	var stored int
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "archived run ") {
+			if _, err := fmt.Sscanf(line, "archived run %s (%d runs stored)", &idB, &stored); err != nil {
+				t.Fatalf("archive line %q: %v", line, err)
+			}
+		}
+	}
+	if idB == "" || idB == idA || stored != 2 {
+		t.Fatalf("grade10 -store archived %q with %d runs stored, want a second run:\n%s", idB, stored, out)
+	}
+
+	// 4. A reopened serve -fleet sees both records.
+	base, _, stop = serveFleet("watch-2")
+	resp, err := http.Get(base + "/diff?format=text&a=" + idA + "&b=" + idB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := new(bytes.Buffer)
+	_, _ = body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	stop()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body.String(), "verdict:") {
+		t.Fatalf("reopened serve /diff %s %s: %d\n%s", idA, idB, resp.StatusCode, body)
+	}
+	if out := run("grade10", "-store", archive, "-diff", idA, idB); !strings.Contains(out, "verdict:") {
+		t.Fatalf("grade10 -diff of both runs:\n%s", out)
+	}
+
+	if _, err := os.Stat(filepath.Join(archive, "index.json")); !os.IsNotExist(err) {
+		t.Fatalf("a command wrote a root index.json beside the shards (err=%v)", err)
+	}
+	layout, err := os.ReadFile(filepath.Join(archive, "shards.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(layout), `"shards": 4`) {
+		t.Fatalf("shards.json does not record four shards:\n%s", layout)
 	}
 }

@@ -61,8 +61,8 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, or error")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the analysis")
 
-		storeDir = flag.String("store", "", "profile archive directory: archive this analysis (with -run) or serve -diff")
-		storeMax = flag.Int("store-max", 0, "archive retention: keep at most this many runs, evicting oldest first (0 = unbounded)")
+		storeDir = flag.String("store", "", "profile archive directory, shared with serve -store: archive this analysis (with -run) or serve -diff")
+		storeMax = flag.Int("store-max", 0, "archive retention: keep at most this many runs per shard, evicting oldest first (0 = unbounded; an archive created here has one shard)")
 		runLabel = flag.String("run-label", "", "free-form label recorded with the archived run")
 
 		alertRulesPath = flag.String("alert-rules", "", "alert rules file: evaluate the finalized profile (baselines learned from -store history, before this run is archived) and exit 4 when any rule fires")
@@ -108,7 +108,7 @@ func main() {
 			logger.Error("-diff needs -store DIR and exactly two run IDs: grade10 -store DIR -diff RUN_A RUN_B")
 			os.Exit(2)
 		}
-		runDiff(*storeDir, *storeMax, flag.Arg(0), flag.Arg(1), *diffThreshold, *diffOut, *failOnRegress)
+		runDiff(*storeDir, flag.Arg(0), flag.Arg(1), *diffThreshold, *diffOut, *failOnRegress)
 		return
 	}
 	if *blameTarget != "" {
@@ -251,7 +251,7 @@ func main() {
 	}
 	var alertBase *alert.Baselines
 	if *storeDir != "" {
-		store, err := profstore.Open(*storeDir, profstore.Options{MaxRuns: *storeMax})
+		store, err := profstore.Open(*storeDir, profstore.Options{MaxRunsPerShard: *storeMax})
 		if err != nil {
 			fail(err)
 		}
@@ -376,8 +376,8 @@ func runBlame(target string, dirs []string, timeslice vtime.Duration, parallel i
 // runDiff loads two archived runs (by ID or unique prefix), diffs them, and
 // writes the ranked text report to stdout plus optional JSON. Exit status 3
 // flags a regression when -fail-on-regress is set.
-func runDiff(dir string, maxRuns int, idA, idB string, threshold float64, jsonOut string, failOnRegress bool) {
-	store, err := profstore.Open(dir, profstore.Options{MaxRuns: maxRuns})
+func runDiff(dir, idA, idB string, threshold float64, jsonOut string, failOnRegress bool) {
+	store, err := profstore.Open(dir, profstore.Options{})
 	if err != nil {
 		fail(err)
 	}

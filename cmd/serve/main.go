@@ -88,8 +88,8 @@ func main() {
 		explainOn   = flag.Bool("explain", false, "capture attribution provenance and serve /explain queries")
 		stale       = flag.Duration("stale", 0, "report /healthz degraded (503) when the last ingested input is older than this (0 disables)")
 		storeDir    = flag.String("store", "", "profile archive directory: serve /runs and /diff, and archive this run once finalized")
-		storeMax    = flag.Int("store-max", 0, "archive retention: keep at most this many runs, evicting oldest first (0 = unbounded; per shard with -store-shards)")
-		storeShards = flag.Int("store-shards", 0, "shard the archive index by run-ID prefix into this many shards (0 = single index; existing single-index archives migrate in place)")
+		storeMax    = flag.Int("store-max", 0, "archive retention: keep at most this many runs per shard, evicting oldest first (0 = unbounded)")
+		storeShards = flag.Int("store-shards", 0, "shard count of a newly created archive, split by run-ID prefix (0 = 1); an existing archive keeps the count it was created with")
 		runLabel    = flag.String("run-label", "", "free-form label recorded with the archived run")
 		logFormat   = flag.String("log-format", "text", "diagnostic log format: text or json")
 		logLevel    = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, or error")
@@ -142,13 +142,14 @@ func main() {
 	if *alertWebhook != "" {
 		notifier = alert.NewNotifier(*alertWebhook, alert.NotifierOptions{Logger: logger})
 	}
+	storeOpts := profstore.Options{Shards: *storeShards, MaxRunsPerShard: *storeMax}
 	if *fleetDir != "" {
 		runFleet(*fleetDir, *addr, fleetOptions{
 			active: *fleetActive, queue: *fleetQueue, stall: *stallTimeout,
 			poll: *poll, idle: *idle, timeslice: *timeslice,
 			window: *window, maxWin: *maxWin, parallel: *parallel,
-			explain: *explainOn, storeDir: *storeDir, storeMax: *storeMax,
-			storeShards: *storeShards, shutdownTO: *shutdownTO, ui: *uiOn,
+			explain: *explainOn, storeDir: *storeDir, store: storeOpts,
+			shutdownTO: *shutdownTO, ui: *uiOn,
 			alertRules: rules, notifier: notifier,
 			logRing: logRing, bundleDir: *bundleDir, bundleMax: *bundleMax,
 			bundleMinGap: *bundleMinGap, bundleCPU: *bundleCPU,
@@ -225,7 +226,7 @@ func main() {
 			// same job — before this run's own record is archived.
 			var store profstore.Archive
 			if *storeDir != "" {
-				st, err := openArchive(*storeDir, *storeMax, *storeShards)
+				st, err := profstore.Open(*storeDir, storeOpts)
 				if err != nil {
 					fail(err)
 				}
@@ -406,17 +407,6 @@ func main() {
 	}
 }
 
-// openArchive opens the profile archive in single-index or sharded layout.
-// With shards > 0 an existing single-index archive migrates in place.
-func openArchive(dir string, maxRuns, shards int) (profstore.Archive, error) {
-	if shards > 0 {
-		return profstore.OpenSharded(dir, profstore.ShardedOptions{
-			Shards: shards, MaxRunsPerShard: maxRuns,
-		})
-	}
-	return profstore.Open(dir, profstore.Options{MaxRuns: maxRuns})
-}
-
 // loadAlertRules parses the -alert-rules file.
 func loadAlertRules(path string) ([]alert.Rule, error) {
 	f, err := os.Open(path)
@@ -433,23 +423,23 @@ func loadAlertRules(path string) ([]alert.Rule, error) {
 
 // fleetOptions carries the fleet-mode flag values.
 type fleetOptions struct {
-	active, queue         int
-	stall, poll, idle     time.Duration
-	timeslice             time.Duration
-	window, maxWin        int
-	parallel              int
-	explain               bool
-	storeDir              string
-	storeMax, storeShards int
-	shutdownTO            time.Duration
-	ui                    bool
-	alertRules            []alert.Rule
-	notifier              *alert.Notifier
-	logRing               *obs.LogRing
-	bundleDir             string
-	bundleMax             int
-	bundleMinGap          time.Duration
-	bundleCPU             time.Duration
+	active, queue     int
+	stall, poll, idle time.Duration
+	timeslice         time.Duration
+	window, maxWin    int
+	parallel          int
+	explain           bool
+	storeDir          string
+	store             profstore.Options
+	shutdownTO        time.Duration
+	ui                bool
+	alertRules        []alert.Rule
+	notifier          *alert.Notifier
+	logRing           *obs.LogRing
+	bundleDir         string
+	bundleMax         int
+	bundleMinGap      time.Duration
+	bundleCPU         time.Duration
 }
 
 // newCapturer builds the flight bundle capturer from the -bundle-* flags, or
@@ -521,7 +511,7 @@ func runFleet(watchDir, addr string, opt fleetOptions) {
 		cfg.Timeslice = vtime.Duration(opt.timeslice)
 	}
 	if opt.storeDir != "" {
-		store, err := openArchive(opt.storeDir, opt.storeMax, opt.storeShards)
+		store, err := profstore.Open(opt.storeDir, opt.store)
 		if err != nil {
 			fail(err)
 		}

@@ -57,8 +57,9 @@ type Config struct {
 	Parallelism  int
 	// Explain enables per-run attribution provenance capture.
 	Explain bool
-	// Archive, when set, receives every finalized run's record. The fleet
-	// serializes access (the store is not goroutine-safe).
+	// Archive, when set, receives every finalized run's record. Runs
+	// finalize concurrently, so it must be safe for concurrent use, as
+	// profstore.Store is.
 	Archive profstore.Archive
 	// DiffCfg configures /fleet/regressions verdicts.
 	DiffCfg profdiff.Config
@@ -148,8 +149,6 @@ type Fleet struct {
 	mu    sync.Mutex
 	runs  map[string]*runState
 	order []string // registration order, for stable /fleet/runs listings
-
-	archiveMu sync.Mutex // profstore stores are not goroutine-safe
 
 	wg     sync.WaitGroup
 	closed bool
@@ -359,9 +358,7 @@ func (f *Fleet) finishRun(rs *runState, followErr error) {
 	rec.Label = "fleet:" + rs.name
 	var archiveID string
 	if f.cfg.Archive != nil {
-		f.archiveMu.Lock()
 		meta, evicted, err := f.cfg.Archive.Put(rec)
-		f.archiveMu.Unlock()
 		if err != nil {
 			fail(fmt.Errorf("archiving: %w", err))
 			return
@@ -574,10 +571,8 @@ func (f *Fleet) DiffArchived(a, b string) (*profdiff.Report, error) {
 	if f.cfg.Archive == nil {
 		return nil, fmt.Errorf("fleet: no archive configured")
 	}
-	f.archiveMu.Lock()
 	recA, errA := f.cfg.Archive.Get(a)
 	recB, errB := f.cfg.Archive.Get(b)
-	f.archiveMu.Unlock()
 	if errA != nil {
 		return nil, errA
 	}
@@ -711,12 +706,12 @@ type Regression struct {
 // Regressions diffs consecutive archived runs of the same (engine, job,
 // workers) configuration and ranks the verdicts by |relative makespan
 // change|, returning the top k (k<=0 means all). Corrupt records are
-// skipped (counted by the sharded store), not fatal.
+// skipped (counted by the archive's CorruptRecords), not fatal, as are runs
+// evicted between the listing and the load.
 func (f *Fleet) Regressions(k int) ([]Regression, error) {
 	if f.cfg.Archive == nil {
 		return nil, fmt.Errorf("fleet: no archive configured")
 	}
-	f.archiveMu.Lock()
 	metas := f.cfg.Archive.List()
 	type key struct {
 		engine, job string
@@ -757,7 +752,6 @@ func (f *Fleet) Regressions(k int) ([]Regression, error) {
 			})
 		}
 	}
-	f.archiveMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		ai, aj := abs(out[i].MakespanRelChange), abs(out[j].MakespanRelChange)
 		if ai != aj {

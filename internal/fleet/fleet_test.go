@@ -227,7 +227,7 @@ func TestFleetHundredRunsBounded(t *testing.T) {
 	}
 	fx := getFleetFixture(t)
 	root := t.TempDir()
-	store, err := profstore.OpenSharded(filepath.Join(root, "archive"), profstore.ShardedOptions{Shards: 4})
+	store, err := profstore.Open(filepath.Join(root, "archive"), profstore.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestFleetServerEndpoints(t *testing.T) {
 	if err := os.MkdirAll(watch, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	store, err := profstore.OpenSharded(filepath.Join(root, "archive"), profstore.ShardedOptions{Shards: 2})
+	store, err := profstore.Open(filepath.Join(root, "archive"), profstore.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,21 +8,22 @@
 //
 // Layout on disk:
 //
-//	<dir>/index.json     append-ordered metadata of every retained run
-//	<dir>/runs/<id>.json one Record per archived run
+//	<dir>/shards.json                shard count and the global sequence counter
+//	<dir>/shard-<k>/index.json       append-ordered metadata of the shard's runs
+//	<dir>/shard-<k>/runs/<id>.json   one Record per archived run
 //
-// Retention is bounded: Options.MaxRuns caps the archive, and the oldest
-// records (lowest sequence number) are evicted deterministically; evictions
-// are counted for the grade10_runs_evicted_total gauge.
+// A run lives in the shard picked by its ID's hex prefix. The shard count is
+// fixed when the archive is created and read back from shards.json on every
+// open. Retention is bounded per shard: Options.MaxRunsPerShard caps each
+// shard, and its oldest records (lowest sequence number) are evicted
+// deterministically; evictions are counted for the
+// grade10_runs_evicted_total gauge.
 package profstore
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"grade10/internal/core"
@@ -316,200 +317,4 @@ func ContentID(rec *Record) string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:6])
-}
-
-// Meta is the index entry of one archived run.
-type Meta struct {
-	ID         string `json:"id"`
-	Seq        int64  `json:"seq"`
-	Label      string `json:"label,omitempty"`
-	Engine     string `json:"engine"`
-	Job        string `json:"job"`
-	Workers    int    `json:"workers"`
-	MakespanNS int64  `json:"makespan_ns"`
-}
-
-// index is the persisted store state.
-type index struct {
-	Version      int    `json:"version"`
-	NextSeq      int64  `json:"next_seq"`
-	EvictedTotal int64  `json:"evicted_total"`
-	Runs         []Meta `json:"runs"`
-}
-
-// Options tunes a store.
-type Options struct {
-	// MaxRuns bounds retention; 0 means unlimited. When an append pushes the
-	// archive past the bound, the oldest records (lowest Seq) are evicted.
-	MaxRuns int
-}
-
-// Store is an on-disk run archive. All methods are safe for concurrent use
-// by one process; the on-disk index is rewritten atomically on every Put.
-type Store struct {
-	dir  string
-	opts Options
-	idx  index
-}
-
-const (
-	indexFile = "index.json"
-	runsDir   = "runs"
-)
-
-// Open opens (or creates) the archive at dir.
-func Open(dir string, opts Options) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, runsDir), 0o755); err != nil {
-		return nil, err
-	}
-	s := &Store{dir: dir, opts: opts, idx: index{Version: Version}}
-	data, err := os.ReadFile(filepath.Join(dir, indexFile))
-	switch {
-	case os.IsNotExist(err):
-		return s, nil
-	case err != nil:
-		return nil, err
-	}
-	if err := json.Unmarshal(data, &s.idx); err != nil {
-		return nil, &CorruptIndexError{Path: filepath.Join(dir, indexFile), Err: err}
-	}
-	if s.idx.Version == 0 {
-		s.idx.Version = 1
-	}
-	if s.idx.Version > Version {
-		return nil, fmt.Errorf("profstore: %s is version %d, this build reads up to %d",
-			indexFile, s.idx.Version, Version)
-	}
-	return s, nil
-}
-
-// Len returns the number of retained runs.
-func (s *Store) Len() int { return len(s.idx.Runs) }
-
-// EvictedTotal returns the number of runs evicted over the store's lifetime.
-func (s *Store) EvictedTotal() int64 { return s.idx.EvictedTotal }
-
-// List returns the retained runs in append order (oldest first).
-func (s *Store) List() []Meta { return append([]Meta(nil), s.idx.Runs...) }
-
-// Put archives the record, assigning its Seq and (if empty) its content ID,
-// then evicts the oldest runs past Options.MaxRuns. Re-archiving an ID
-// already present replaces the record in place at a fresh sequence number.
-// It returns the stored meta and the IDs evicted by this append.
-func (s *Store) Put(rec *Record) (Meta, []string, error) {
-	return s.putAt(rec, s.idx.NextSeq)
-}
-
-// putAt is Put with a caller-assigned sequence number — the hook the sharded
-// store uses to keep one global append order across shard indexes.
-func (s *Store) putAt(rec *Record, seq int64) (Meta, []string, error) {
-	if rec.Version == 0 {
-		rec.Version = Version
-	}
-	if rec.ID == "" {
-		rec.ID = ContentID(rec)
-	}
-	rec.Seq = seq
-	if seq >= s.idx.NextSeq {
-		s.idx.NextSeq = seq + 1
-	}
-	meta := Meta{ID: rec.ID, Seq: rec.Seq, Label: rec.Label, Engine: rec.Engine,
-		Job: rec.Job, Workers: rec.Workers, MakespanNS: rec.MakespanNS}
-
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	if err := os.WriteFile(s.runPath(rec.ID), append(data, '\n'), 0o644); err != nil {
-		return Meta{}, nil, err
-	}
-	// Drop a replaced entry, append the new one, then evict oldest-first.
-	runs := s.idx.Runs[:0]
-	for _, m := range s.idx.Runs {
-		if m.ID != rec.ID {
-			runs = append(runs, m)
-		}
-	}
-	s.idx.Runs = append(runs, meta)
-	var evicted []string
-	if s.opts.MaxRuns > 0 {
-		for len(s.idx.Runs) > s.opts.MaxRuns {
-			oldest := s.idx.Runs[0]
-			s.idx.Runs = s.idx.Runs[1:]
-			s.idx.EvictedTotal++
-			evicted = append(evicted, oldest.ID)
-			if err := os.Remove(s.runPath(oldest.ID)); err != nil && !os.IsNotExist(err) {
-				return Meta{}, nil, err
-			}
-		}
-	}
-	if err := s.writeIndex(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, evicted, nil
-}
-
-// Get loads one record by ID or unique ID prefix.
-func (s *Store) Get(id string) (*Record, error) {
-	meta, err := s.Resolve(id)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(s.runPath(meta.ID))
-	if err != nil {
-		return nil, err
-	}
-	rec := &Record{}
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, &CorruptRecordError{Path: s.runPath(meta.ID), Err: err}
-	}
-	if rec.Version == 0 {
-		rec.Version = 1
-	}
-	if rec.Version > Version {
-		return nil, fmt.Errorf("profstore: run %s is version %d, this build reads up to %d",
-			meta.ID, rec.Version, Version)
-	}
-	return rec, nil
-}
-
-// Resolve maps an ID or unique ID prefix to its index entry.
-func (s *Store) Resolve(id string) (Meta, error) {
-	if id == "" {
-		return Meta{}, fmt.Errorf("profstore: empty run id")
-	}
-	var match *Meta
-	for i := range s.idx.Runs {
-		m := &s.idx.Runs[i]
-		if m.ID == id {
-			return *m, nil
-		}
-		if len(id) >= 4 && len(id) < len(m.ID) && m.ID[:len(id)] == id {
-			if match != nil {
-				return Meta{}, fmt.Errorf("profstore: run id prefix %q is ambiguous", id)
-			}
-			match = m
-		}
-	}
-	if match == nil {
-		return Meta{}, fmt.Errorf("profstore: no run %q in %s", id, s.dir)
-	}
-	return *match, nil
-}
-
-func (s *Store) runPath(id string) string {
-	return filepath.Join(s.dir, runsDir, id+".json")
-}
-
-// writeIndex persists the index atomically (write-then-rename).
-func (s *Store) writeIndex() error {
-	data, err := json.MarshalIndent(&s.idx, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(s.dir, indexFile+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.dir, indexFile))
 }

@@ -114,7 +114,7 @@ func TestContentIDDeterministicAndIdempotent(t *testing.T) {
 
 func TestEvictionOrderAndCounter(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{MaxRuns: 3})
+	s, err := Open(dir, Options{MaxRunsPerShard: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestEvictionOrderAndCounter(t *testing.T) {
 		}
 	}
 	for _, id := range ids[:2] {
-		if _, err := os.Stat(filepath.Join(dir, "runs", id+".json")); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(shardDir(dir, 0), runsDir, id+".json")); !os.IsNotExist(err) {
 			t.Fatalf("evicted run file %s still present (err=%v)", id, err)
 		}
 		if _, err := s.Get(id); err == nil {
@@ -154,7 +154,7 @@ func TestEvictionOrderAndCounter(t *testing.T) {
 	}
 
 	// The persisted index reflects the same state after reopen.
-	s2, err := Open(dir, Options{MaxRuns: 3})
+	s2, err := Open(dir, Options{MaxRunsPerShard: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestVersionCompat(t *testing.T) {
 	}
 
 	// A record written without a version field loads as v1.
-	path := filepath.Join(dir, "runs", meta.ID+".json")
+	path := filepath.Join(shardDir(dir, 0), runsDir, meta.ID+".json")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -205,13 +205,14 @@ func TestVersionCompat(t *testing.T) {
 		t.Fatalf("future version: err = %v", err)
 	}
 
-	// Same for the index itself.
-	idx, err := os.ReadFile(filepath.Join(dir, "index.json"))
+	// Same for the shard index itself.
+	idxPath := filepath.Join(shardDir(dir, 0), indexFile)
+	idx, err := os.ReadFile(idxPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	futureIdx := strings.Replace(string(idx), fmt.Sprintf("\"version\": %d", Version), "\"version\": 999", 1)
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(futureIdx), 0o644); err != nil {
+	if err := os.WriteFile(idxPath, []byte(futureIdx), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{}); err == nil {

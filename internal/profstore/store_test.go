@@ -11,7 +11,7 @@ import (
 
 func TestShardedPutGetResolve(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSharded(dir, ShardedOptions{Shards: 4})
+	s, err := Open(dir, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,34 +67,40 @@ func TestShardedPutGetResolve(t *testing.T) {
 		}
 	}
 
-	// Reopening preserves everything.
-	s2, err := OpenSharded(dir, ShardedOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
+	// Reopening preserves everything, and the shard count recorded at
+	// creation wins over whatever the reopen asks for.
+	for _, n := range []int{0, 1, 2, 4, 8} {
+		s2, err := Open(dir, Options{Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s2.shards) != 4 {
+			t.Fatalf("reopened with Shards %d: %d shards, want 4", n, len(s2.shards))
+		}
+		if !reflect.DeepEqual(s2.List(), list) {
+			t.Fatalf("reopened with Shards %d: listing changed", n)
+		}
 	}
-	if !reflect.DeepEqual(s2.List(), list) {
-		t.Fatal("listing changed across reopen")
+	for _, p := range []string{filepath.Join(dir, indexFile), shardDir(dir, 4)} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("reopen wrote %s (err=%v)", p, err)
+		}
 	}
 }
 
-// TestShardMigrationRoundTrip: a single-index archive opened sharded yields
-// the identical listing (IDs, Seqs, labels), and the legacy layout is gone.
+// TestShardMigrationRoundTrip: a legacy single-index archive yields the
+// identical listing (IDs, Seqs, labels), and the legacy layout is gone.
 func TestShardMigrationRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	legacy, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var recs []*Record
 	for i := 0; i < 9; i++ {
 		rec := testRecord(fmt.Sprintf("legacy%d", i), int64(2e9+i))
 		rec.Label = fmt.Sprintf("label-%d", i)
-		if _, _, err := legacy.Put(rec); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, rec)
 	}
-	before := legacy.List()
+	before := writeLegacy(t, dir, 0, recs)
 
-	s, err := OpenSharded(dir, ShardedOptions{Shards: 3})
+	s, err := Open(dir, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestShardMigrationRoundTrip(t *testing.T) {
 	}
 
 	// And a reopen of the sharded layout is stable (no double migration).
-	s2, err := OpenSharded(dir, ShardedOptions{Shards: 3})
+	s2, err := Open(dir, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +161,11 @@ func TestCorruptIndexTypedError(t *testing.T) {
 }
 
 // TestShardedQuarantinesCorruptShard: one garbled shard index does not take
-// the archive down — the shard is quarantined and counted, the rest serve.
+// the archive down — the index is quarantined, counted, and rebuilt from the
+// shard's records, so every record is still listed at its original Seq.
 func TestShardedQuarantinesCorruptShard(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSharded(dir, ShardedOptions{Shards: 2})
+	s, err := Open(dir, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +180,12 @@ func TestShardedQuarantinesCorruptShard(t *testing.T) {
 	if len(perShard[0]) == 0 || len(perShard[1]) == 0 {
 		t.Skip("hash landed every record in one shard; scenario needs both")
 	}
+	before := s.List()
 	if err := os.WriteFile(filepath.Join(shardDir(dir, 0), indexFile), []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenSharded(dir, ShardedOptions{Shards: 2})
+	s2, err := Open(dir, Options{Shards: 2})
 	if err != nil {
 		t.Fatalf("one corrupt shard failed the whole archive: %v", err)
 	}
@@ -187,14 +195,28 @@ func TestShardedQuarantinesCorruptShard(t *testing.T) {
 	if errs := s2.ShardErrors(); len(errs) != 1 || !errors.Is(errs[0], ErrCorruptIndex) {
 		t.Fatalf("shard errors = %v", errs)
 	}
-	// The healthy shard still serves its records.
-	if s2.Len() != len(perShard[1]) {
-		t.Fatalf("len = %d, want %d surviving records", s2.Len(), len(perShard[1]))
+	// Both shards serve every record, listed as before the damage.
+	if s2.Len() != 12 {
+		t.Fatalf("len = %d, want all 12 records", s2.Len())
 	}
-	for _, id := range perShard[1] {
-		if _, err := s2.Get(id); err != nil {
-			t.Fatalf("surviving record %s: %v", id, err)
+	if !reflect.DeepEqual(s2.List(), before) {
+		t.Fatalf("rebuilt listing differs:\n%+v\nvs\n%+v", s2.List(), before)
+	}
+	for _, m := range before {
+		if _, err := s2.Get(m.ID); err != nil {
+			t.Fatalf("record %s: %v", m.ID, err)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(shardDir(dir, 0), indexFile+".corrupt")); err != nil {
+		t.Fatalf("damaged index not quarantined: %v", err)
+	}
+	// The rebuilt index is persisted: a reopen sees no damage.
+	s3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3.CorruptShards() != 0 || !reflect.DeepEqual(s3.List(), before) {
+		t.Fatalf("reopen after rebuild: corrupt %d, listing %+v", s3.CorruptShards(), s3.List())
 	}
 }
 
@@ -202,25 +224,18 @@ func TestShardedQuarantinesCorruptShard(t *testing.T) {
 // a counter during migration instead of failing the archive.
 func TestCorruptRecordSkippedInMigration(t *testing.T) {
 	dir := t.TempDir()
-	legacy, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var metas []Meta
+	var recs []*Record
 	for i := 0; i < 5; i++ {
-		m, _, err := legacy.Put(testRecord(fmt.Sprintf("m%d", i), int64(5e9+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		metas = append(metas, m)
+		recs = append(recs, testRecord(fmt.Sprintf("m%d", i), int64(5e9+i)))
 	}
+	metas := writeLegacy(t, dir, 0, recs)
 	// Garble one record body; the legacy index still references it.
 	bad := metas[2]
-	if err := os.WriteFile(filepath.Join(dir, "runs", bad.ID+".json"), []byte("}{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, runsDir, bad.ID+".json"), []byte("}{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := OpenSharded(dir, ShardedOptions{Shards: 2})
+	s, err := Open(dir, Options{Shards: 2})
 	if err != nil {
 		t.Fatalf("one corrupt record failed migration: %v", err)
 	}
@@ -254,7 +269,7 @@ func TestCorruptRecordTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "runs", m.ID+".json")
+	path := filepath.Join(shardDir(dir, 0), runsDir, m.ID+".json")
 	if err := os.WriteFile(path, []byte("}{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +287,7 @@ func TestCorruptRecordTypedError(t *testing.T) {
 // shard and feeds the global eviction counter.
 func TestShardedRetention(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSharded(dir, ShardedOptions{Shards: 2, MaxRunsPerShard: 2})
+	s, err := Open(dir, Options{Shards: 2, MaxRunsPerShard: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
