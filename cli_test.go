@@ -436,3 +436,66 @@ func TestCLIArchiveCrossCommand(t *testing.T) {
 		t.Fatalf("shards.json does not record four shards:\n%s", layout)
 	}
 }
+
+// TestCLIServeModeFlags: serve -run and serve -fleet are one service, so
+// -pprof mounts in fleet mode too; a flag the chosen mode does not use is a
+// usage error (exit 2), not a silent no-op.
+func TestCLIServeModeFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	dir := t.TempDir()
+	serve := filepath.Join(dir, "serve")
+	if out, err := exec.Command("go", "build", "-o", serve, "./cmd/serve").CombinedOutput(); err != nil {
+		t.Fatalf("building serve: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-fleet", dir, "-run-label", "x"},
+		{"-run", dir, "-fleet-active", "2"},
+		{"-run", dir, "-fleet-queue", "2"},
+		{"-run", dir, "-bounded"},
+		{"-run", dir, "-fleet", dir},
+	} {
+		out, err := exec.Command(serve, args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("serve %v: %v, want exit 2\n%s", args, err, out)
+		}
+	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	var log bytes.Buffer
+	cmd := exec.Command(serve, "-fleet", dir, "-addr", addr, "-pprof")
+	cmd.Stdout, cmd.Stderr = &log, &log
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = cmd.Process.Signal(os.Interrupt)
+		_ = cmd.Wait()
+	}()
+	var body bytes.Buffer
+	for i := 0; ; i++ {
+		resp, err := http.Get("http://" + addr + "/debug/pprof/")
+		if err == nil {
+			body.Reset()
+			_, _ = body.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("serve -fleet -pprof: /debug/pprof/ = %s\n%s", resp.Status, log.String())
+			}
+			break
+		}
+		if i == 100 {
+			t.Fatalf("serve never came up: %v\n%s", err, log.String())
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	if !strings.Contains(body.String(), "goroutine") {
+		t.Fatalf("/debug/pprof/ index without profiles:\n%s", body.String())
+	}
+}

@@ -10,37 +10,35 @@
 //	runsim -engine giraph -algorithm pagerank -out run/ -serve :7070 -linger 30s
 //	runsim -engine giraph -algorithm pagerank -out run/ -trace trace.json
 //
-// With -serve, a live characterization server (the same endpoints as
-// cmd/serve, including the embedded visual profiler under /ui/) runs during
-// the simulation, fed in-process through a tap on the engine's logger;
-// -linger keeps it up after the run for inspection. With
+// With -serve, the live characterization service (internal/service: the
+// same single-run endpoints as cmd/serve -run, including the embedded visual
+// profiler under /ui/) runs during the simulation, fed in-process through a
+// tap on the engine's logger; -linger keeps it up after the run for
+// inspection. With
 // -trace, the simulator's self-trace (supersteps/iterations with their
 // virtual-time windows, plus any live-analysis stages) is written as a
 // Chrome trace-event file loadable in Perfetto.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"strings"
 	"time"
 
 	"grade10/internal/cluster"
+	"grade10/internal/enginelog"
 	"grade10/internal/experiments"
-	"grade10/internal/flight"
+	"grade10/internal/fleet"
 	"grade10/internal/giraphsim"
-	"grade10/internal/grade10"
 	"grade10/internal/graph"
 	"grade10/internal/obs"
 	"grade10/internal/pgsim"
 	"grade10/internal/report"
 	"grade10/internal/rundir"
-	"grade10/internal/stream"
-	"grade10/internal/ui"
+	"grade10/internal/service"
 	"grade10/internal/vtime"
 	"grade10/internal/workload"
 )
@@ -109,7 +107,20 @@ func main() {
 	}
 
 	run := &rundir.Run{}
-	var live *liveServe
+	// serveLive starts the live service for the run described by info and
+	// returns the tee that feeds it; nil without -serve.
+	var live *liveRun
+	serveLive := func(info rundir.Info) func(enginelog.Event) {
+		if *serveAddr == "" {
+			return nil
+		}
+		l, err := startLive(*serveAddr, *out, info, *parallel, *pprofOn, *explainOn, *uiOn, tracer)
+		if err != nil {
+			fail(err)
+		}
+		live = l
+		return l.tap.Send
+	}
 	switch *engine {
 	case "giraph":
 		cfg := experiments.GiraphConfig(*scale)
@@ -120,14 +131,8 @@ func main() {
 		if *noise >= 0 {
 			cfg.OSNoiseCores = *noise
 		}
-		if *serveAddr != "" {
-			l, err := startLive(*serveAddr, "giraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine, *parallel, *pprofOn, *explainOn, *uiOn, tracer)
-			if err != nil {
-				fail(err)
-			}
-			live = l
-			cfg.Tee = live.tap.Func()
-		}
+		run.Info = runInfo("giraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
+		cfg.Tee = serveLive(run.Info)
 		part := graph.HashPartition(g, cfg.Workers)
 		res, err := giraphsim.Run(prog, part, cfg)
 		if err != nil {
@@ -138,12 +143,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		run.Info = rundir.Info{
-			Engine: "giraph", Job: prog.Name(), Workers: cfg.Workers,
-			ThreadsPerWorker: cfg.ThreadsPerWorker, Cores: cfg.Machine.Cores,
-			NetBandwidth: cfg.Machine.NetBandwidth, DiskBandwidth: cfg.Machine.DiskBandwidth,
-			StartNS: int64(res.Start), EndNS: int64(res.End),
-		}
+		run.Info.StartNS, run.Info.EndNS = int64(res.Start), int64(res.End)
 		logger.Info(fmt.Sprintf("%s on giraph: makespan %v", prog.Name(), res.End.Sub(res.Start)),
 			"supersteps", res.Stats.Supersteps, "gcs", res.Stats.GCCount,
 			"queue_stalls", res.Stats.QueueStalls)
@@ -157,14 +157,8 @@ func main() {
 		if *noise >= 0 {
 			cfg.OSNoiseCores = *noise
 		}
-		if *serveAddr != "" {
-			l, err := startLive(*serveAddr, "powergraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine, *parallel, *pprofOn, *explainOn, *uiOn, tracer)
-			if err != nil {
-				fail(err)
-			}
-			live = l
-			cfg.Tee = live.tap.Func()
-		}
+		run.Info = runInfo("powergraph", prog.Name(), cfg.Workers, cfg.ThreadsPerWorker, cfg.Machine)
+		cfg.Tee = serveLive(run.Info)
 		res, err := pgsim.Run(prog, cfg)
 		if err != nil {
 			fail(err)
@@ -174,12 +168,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		run.Info = rundir.Info{
-			Engine: "powergraph", Job: prog.Name(), Workers: cfg.Workers,
-			ThreadsPerWorker: cfg.ThreadsPerWorker, Cores: cfg.Machine.Cores,
-			NetBandwidth: cfg.Machine.NetBandwidth, DiskBandwidth: cfg.Machine.DiskBandwidth,
-			StartNS: int64(res.Start), EndNS: int64(res.End),
-		}
+		run.Info.StartNS, run.Info.EndNS = int64(res.Start), int64(res.End)
 		logger.Info(fmt.Sprintf("%s on powergraph: makespan %v", prog.Name(), res.End.Sub(res.Start)),
 			"iterations", res.Stats.Iterations,
 			"replication", fmt.Sprintf("%.2f", res.Stats.ReplicationFactor))
@@ -214,101 +203,48 @@ func main() {
 	}
 }
 
-// liveServe bundles the in-process live characterization pipeline: a
-// streaming engine fed through a tap on the simulator's logger, served over
-// HTTP while the simulation runs.
-type liveServe struct {
-	engine *stream.Engine
-	tap    *stream.Tap
-	srv    *http.Server
+// runInfo is the run metadata known before the simulation starts: the
+// engine, job and cluster shape that select the models and size the live
+// engine. The simulation adds its start and end.
+func runInfo(engine, job string, workers, threads int, m cluster.MachineSpec) rundir.Info {
+	return rundir.Info{
+		Engine: engine, Job: job, Workers: workers, ThreadsPerWorker: threads,
+		Cores: m.Cores, NetBandwidth: m.NetBandwidth, DiskBandwidth: m.DiskBandwidth,
+	}
 }
 
-// startLive builds the streaming engine from the same models the batch
-// analyzer would resolve for this run, installs the HTTP server, and returns
-// the bundle whose tap hook goes into the simulator's Config.Tee. The
-// tracer (which may be nil) is shared with the simulator, so one -trace file
-// interleaves engine supersteps with analysis window flushes.
-func startLive(addr, engineName, job string, workers, threads int, m cluster.MachineSpec, parallel int, pprofOn, explainOn, uiOn bool, tracer *obs.Tracer) (*liveServe, error) {
-	models, err := grade10.ModelsForEngine(engineName, grade10.ModelParams{
-		Job:              job,
-		Cores:            m.Cores,
-		NetBandwidth:     m.NetBandwidth,
-		DiskBandwidth:    m.DiskBandwidth,
-		ThreadsPerWorker: threads,
-	})
+// liveRun is the live characterization service of one simulation, fed
+// in-process through a tap on the simulator's logger.
+type liveRun struct {
+	svc *service.Service
+	tap *service.Tap
+}
+
+// startLive starts the service for the run in dir with the tap as its only
+// source. The tracer (which may be nil) is shared with the simulator, so one
+// -trace file interleaves engine supersteps with analysis window flushes.
+func startLive(addr, dir string, info rundir.Info, parallel int, pprofOn, explainOn, uiOn bool, tracer *obs.Tracer) (*liveRun, error) {
+	tap := service.NewTap(info)
+	svc, err := service.Start(service.Config{
+		Addr:            addr,
+		Fleet:           fleet.Config{Parallelism: parallel, Explain: explainOn, Logger: logger},
+		Pprof:           pprofOn,
+		UI:              uiOn,
+		LogRing:         logRing,
+		ShutdownTimeout: 3 * time.Second,
+	}, &fleet.Source{Dir: dir, Feed: tap.Feed, Tracer: tracer})
 	if err != nil {
 		return nil, err
 	}
-	resources := 3 // cpu, net-in, net-out
-	if m.DiskBandwidth > 0 {
-		resources++
-	}
-	var broker *ui.Broker
-	account := &obs.RunAccount{}
-	overheadFn := func() []obs.RunOverhead {
-		return []obs.RunOverhead{{Run: job, OverheadSnapshot: account.Snapshot()}}
-	}
-	cfg := stream.Config{
-		Models:            models,
-		ExpectedInstances: workers * resources,
-		RetainForFinal:    true,
-		Parallelism:       parallel,
-		Tracer:            tracer,
-		Explain:           explainOn,
-		Account:           account,
-	}
-	if uiOn {
-		broker = ui.NewBroker(0)
-		cfg.OnWindowFlush = broker.OnWindowFlush
-	}
-	se, err := stream.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	handler := stream.NewServer(se)
-	if pprofOn {
-		handler.EnablePprof()
-	}
-	handler.Handle("/logs", "recent log records from the flight recorder's ring (?level=&limit=)",
-		flight.LogsHandler(logRing))
-	handler.Handle("/debug/overhead", "framework overhead accounting for this run (JSON)",
-		flight.OverheadHandler(overheadFn))
-	reg := obs.NewRegistry()
-	obs.RegisterRuntime(reg)
-	handler.RegisterEngineMetrics(reg)
-	flight.RegisterOverheadMetrics(reg, overheadFn)
-	if broker != nil {
-		broker.RegisterMetrics(reg)
-		uis := ui.NewServer(ui.Config{Engine: se, Broker: broker, Overhead: overheadFn})
-		handler.MountUI(uis, uis.Routes())
-	}
-	handler.SetRegistry(reg)
-	ls := &liveServe{
-		engine: se,
-		tap:    stream.NewTap(se, 0, stream.BlockWhenFull),
-		srv:    &http.Server{Addr: addr, Handler: handler},
-	}
-	go func() {
-		if err := ls.srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			logger.Error("live server: " + err.Error())
-		}
-	}()
-	logger.Info("live characterization on " + addr)
-	return ls, nil
+	logger.Info("live characterization on " + svc.Addr())
+	return &liveRun{svc: svc, tap: tap}, nil
 }
 
-// finish drains the tap, feeds the run's monitoring samples, finalizes the
-// exact profile, and keeps serving for the linger duration before shutdown.
-func (ls *liveServe) finish(monitoring []cluster.ResourceSamples, linger time.Duration) {
-	ls.tap.Close()
-	ls.engine.LogDone()
-	for _, rs := range monitoring {
-		for _, s := range rs.Samples.Samples {
-			ls.engine.IngestSample(rs.Machine, rs.Resource, rs.Capacity, s)
-		}
-	}
-	ls.engine.MonitoringDone()
-	if _, err := ls.engine.Finalize(); err != nil {
+// finish hands the run's monitoring to the service, waits for the exact
+// profile, and keeps serving for the linger duration before shutdown.
+func (l *liveRun) finish(monitoring []cluster.ResourceSamples, linger time.Duration) {
+	l.tap.Finish(monitoring)
+	if err := l.svc.Wait(); err != nil {
 		logger.Error("live finalize: " + err.Error())
 	} else if linger > 0 {
 		logger.Info(fmt.Sprintf("exact report at /report for %v", linger))
@@ -316,9 +252,9 @@ func (ls *liveServe) finish(monitoring []cluster.ResourceSamples, linger time.Du
 	if linger > 0 {
 		time.Sleep(linger)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	_ = ls.srv.Shutdown(ctx)
+	if err := l.svc.Close(); err != nil {
+		logger.Warn("live shutdown: " + err.Error())
+	}
 }
 
 // parsePlacement maps each run-local machine onto a shared host name,

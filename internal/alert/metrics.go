@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"net/http"
 	"sync"
 
 	"grade10/internal/obs"
@@ -17,6 +18,17 @@ type Metrics struct {
 
 	mu   sync.Mutex
 	seen map[[3]string]bool
+}
+
+// Mount serves ev on s: GET /alerts answers the rule table, live instances
+// and transition history (JSON), and with a registry the evaluator's gauges
+// and ALERTS series join /metrics, rebuilt on every scrape.
+func Mount(s *obs.Surface, ev *Evaluator) {
+	s.Handle("/alerts", "alert rules, firing/pending/resolved instances, and history (JSON)",
+		http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { obs.WriteJSON(w, ev.Snapshot()) }))
+	if reg := s.Registry(); reg != nil {
+		reg.AddScrapeHook(RegisterMetrics(reg, ev).Refresh)
+	}
 }
 
 // RegisterMetrics wires the evaluator's gauges into the registry.

@@ -80,10 +80,8 @@ func TestFleetAlertFiringResolve(t *testing.T) {
 		},
 	})
 	defer f2.Shutdown(context.Background())
-	srv := NewServer(f2)
-	reg := obs.NewRegistry()
-	srv.RegisterMetrics(reg)
-	srv.SetAlerts(ev, alert.RegisterMetrics(reg, ev))
+	srv := serveFleet(f2, obs.NewRegistry())
+	alert.Mount(srv, ev)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -159,7 +157,7 @@ func TestFleetHealthzHealthy(t *testing.T) {
 	}
 	waitSettled(t, f, 1, time.Minute)
 
-	srv := NewServer(f)
+	srv := serveFleet(f, nil)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -211,18 +209,84 @@ func TestFleetHealthzDegraded(t *testing.T) {
 	// watchdog tears the first down).
 	waitSettled(t, f, 2, time.Minute)
 
-	srv := NewServer(f)
+	srv := serveFleet(f, nil)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz = %d, want 503", rec.Code)
 	}
-	h := srv.Health()
+	h := f.Health()
 	if h.Status != "degraded" || len(h.Reasons) != 3 {
 		t.Fatalf("health = %+v, want degraded with two stalls + one shed", h)
 	}
 	joined := strings.Join(h.Reasons, "\n")
 	if !strings.Contains(joined, "stalled") || !strings.Contains(joined, "shed") {
 		t.Fatalf("reasons = %q", joined)
+	}
+}
+
+// TestFleetWindowAlertFires: fleet engines carry the same window-level
+// evaluator as a single run, so a threshold rule on a window counter fires
+// on a window flush. A finalized record has no window counters, so only the
+// window path can fire it.
+func TestFleetWindowAlertFires(t *testing.T) {
+	fx := getFleetFixture(t)
+	rules, err := alert.ParseRules(strings.NewReader("alert moving severity info when windows_flushed >= 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := alert.NewEvaluator(rules, nil, alert.Config{})
+	var mu sync.Mutex
+	var transitions []alert.Event
+	f := New(Config{
+		MaxActive: 1, QueueDepth: 1, Poll: testPoll, Idle: testIdle, Alerts: ev,
+		OnAlert: func(evs []alert.Event) {
+			mu.Lock()
+			transitions = append(transitions, evs...)
+			mu.Unlock()
+		},
+	})
+	defer f.Shutdown(context.Background())
+	dir := filepath.Join(t.TempDir(), "quiet")
+	copyRun(t, fx.quietDir, dir, nil)
+	if _, _, err := f.Register(dir); err != nil {
+		t.Fatal(err)
+	}
+	waitSettled(t, f, 1, time.Minute)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(transitions) == 0 || transitions[0].Rule != "moving" || transitions[0].To != alert.StateFiring {
+		t.Fatalf("transitions = %+v, want the window rule firing", transitions)
+	}
+	if ev.FiringCount() != 1 {
+		t.Fatalf("firing = %d, want 1", ev.FiringCount())
+	}
+}
+
+// TestFleetHealthzStale: with Config.Stale set, an active run whose input
+// has gone quiet adds a "run X stale" reason to the fleet's health.
+func TestFleetHealthzStale(t *testing.T) {
+	fx := getFleetFixture(t)
+	f := New(Config{
+		MaxActive: 1, QueueDepth: 1, Poll: testPoll, Idle: time.Minute,
+		Stale: 20 * time.Millisecond,
+	})
+	defer f.Shutdown(context.Background())
+	dir := filepath.Join(t.TempDir(), "quiet")
+	copyRun(t, fx.quietDir, dir, nil)
+	if _, _, err := f.Register(dir); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for {
+		h := f.Health()
+		if h.Status == "degraded" && len(h.Reasons) == 1 &&
+			strings.HasPrefix(h.Reasons[0], "run quiet stale: last ingest ") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("health never reported the quiet run stale: %+v", h)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"grade10/internal/alert"
+	"grade10/internal/enginelog"
 	"grade10/internal/grade10"
 	"grade10/internal/obs"
 	"grade10/internal/profdiff"
@@ -46,11 +47,14 @@ type Config struct {
 	// StallTimeout tears an active run down if its metadata (run.json) has
 	// not appeared that long after admission; 0 disables.
 	StallTimeout time.Duration
+	// Stale marks the fleet's health degraded while an active run's last
+	// ingest is older than this (stream.Engine.Stale); 0 disables.
+	Stale time.Duration
 	// Poll and Idle are per-run tailing knobs (rundir.FollowOptions).
 	Poll time.Duration
 	Idle time.Duration
 	// Timeslice, WindowSlices, MaxWindows and Parallelism size each per-run
-	// stream engine exactly as cmd/serve's single-run mode does.
+	// stream engine (see engineConfig).
 	Timeslice    vtime.Duration
 	WindowSlices int
 	MaxWindows   int
@@ -61,18 +65,17 @@ type Config struct {
 	// finalize concurrently, so it must be safe for concurrent use, as
 	// profstore.Store is.
 	Archive profstore.Archive
-	// DiffCfg configures /fleet/regressions verdicts.
-	DiffCfg profdiff.Config
-	// BlameSlice is the cross-job blame grid width; default the analysis
-	// timeslice default.
-	BlameSlice vtime.Duration
-	// Alerts, when set, is evaluated against every finalized run's record
-	// (after archiving): baseline-regression rules compare the fresh record
-	// to the archive-learned statistics, and a later clean run resolves what
-	// a noisy one fired. The evaluator is internally synchronized.
+	// Alerts, when set, is evaluated on every window flush of every run
+	// (threshold rules; streaks count windows across all concurrently
+	// ingesting runs) and against every finalized run's record, after
+	// archiving: baseline-regression rules compare the fresh record to the
+	// archive-learned statistics, and a later clean run resolves what a noisy
+	// one fired. The evaluator is internally synchronized.
 	Alerts *alert.Evaluator
-	// OnAlert, when set, receives the transitions each record evaluation
-	// produced (only called when there are any), off the fleet lock.
+	// OnAlert, when set, receives the transitions each evaluation produced
+	// (only called when there are any). Window evaluations call it under the
+	// run's engine lock, like stream.Config.OnAlert: hand the events to a
+	// non-blocking sink and return.
 	OnAlert func([]alert.Event)
 	// Now is the wall clock; injectable for tests.
 	Now func() time.Time
@@ -99,9 +102,6 @@ func (c *Config) fill() {
 	if c.MaxWindows <= 0 {
 		c.MaxWindows = 32
 	}
-	if c.BlameSlice <= 0 {
-		c.BlameSlice = grade10.DefaultTimeslice
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -116,7 +116,9 @@ func (c *Config) fill() {
 // the active cap rather than the registration count.
 type runState struct {
 	name string
-	dir  string
+	src  Source
+	// keep retains the engine after finalize (RegisterAlias).
+	keep bool
 
 	status     RunStatus
 	err        string
@@ -169,11 +171,46 @@ func New(cfg Config) *Fleet {
 // Counts reports admission state: active runs, queued runs, lifetime sheds.
 func (f *Fleet) Counts() (active, queued int, shed int64) { return f.sched.Counts() }
 
-// Register admits one run directory under its base name. The returned
-// decision says whether ingest started immediately, was queued, or was shed
-// (at which point the fleet retains nothing and the caller may retry later).
+// Feed delivers one run's input into sink — the run metadata once known,
+// then log bytes or events and monitoring rows — and returns when the input
+// is complete or stop closes. It runs on the run's worker goroutine.
+type Feed func(stop <-chan struct{}, sink *Sink) error
+
+// Source is one run for the fleet to characterize.
+type Source struct {
+	// Dir is the run directory; its base name names the run. Unless Feed is
+	// set, the fleet tails it with rundir.Follow (Config.Poll and Idle).
+	Dir string
+	// Feed, when set, delivers the run in-process instead of tailing Dir.
+	Feed Feed
+	// Label is recorded with the run's archived record.
+	Label string
+	// Tracer, when set, self-traces the run's engine.
+	Tracer *obs.Tracer
+}
+
+// Register admits one run directory (from a watch directory or POST
+// /fleet/runs) under its base name, archived with the label "fleet:"+name;
+// its engine is released when it finishes. The returned decision says
+// whether ingest started immediately, was queued, or was shed (at which
+// point the fleet retains nothing and the caller may retry later).
 func (f *Fleet) Register(dir string) (name string, d Decision, err error) {
-	name = filepath.Base(filepath.Clean(dir))
+	return f.register(Source{Dir: dir, Label: "fleet:" + RunName(dir)}, false)
+}
+
+// RunName is the name the fleet gives the run in dir: its base name.
+func RunName(dir string) string { return filepath.Base(filepath.Clean(dir)) }
+
+// RegisterAlias admits the only run of a fleet of one (serve -run, runsim
+// -serve). Unlike a watch-directory run it keeps its engine after finalize,
+// so the single-run endpoints go on answering from it.
+func (f *Fleet) RegisterAlias(src Source) (name string, d Decision, err error) {
+	return f.register(src, true)
+}
+
+func (f *Fleet) register(src Source, keep bool) (name string, d Decision, err error) {
+	dir := src.Dir
+	name = RunName(dir)
 	if name == "" || name == "." || name == string(filepath.Separator) {
 		return "", DecisionShed, fmt.Errorf("fleet: cannot derive a run name from %q", dir)
 	}
@@ -197,7 +234,7 @@ func (f *Fleet) Register(dir string) (name string, d Decision, err error) {
 		return name, d, nil // load-shed: counted by the scheduler, not retained
 	}
 	rs := &runState{
-		name: name, dir: dir, registered: f.cfg.Now(),
+		name: name, src: src, keep: keep, registered: f.cfg.Now(),
 		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	f.runs[name] = rs
@@ -208,6 +245,17 @@ func (f *Fleet) Register(dir string) (name string, d Decision, err error) {
 		rs.status = StatusQueued
 	}
 	return name, d, nil
+}
+
+// Done returns a channel closed once the named run has finished (or nil
+// for an unknown run).
+func (f *Fleet) Done(name string) <-chan struct{} {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if rs, ok := f.runs[name]; ok {
+		return rs.done
+	}
+	return nil
 }
 
 // startLocked transitions a run to active and launches its worker.
@@ -238,7 +286,7 @@ func (f *Fleet) stallWatch(rs *runState) {
 		}
 		f.mu.Unlock()
 		if stalled {
-			f.cfg.Logger.Warn("fleet run stalled", "run", rs.name, "dir", rs.dir)
+			f.cfg.Logger.Warn("fleet run stalled", "run", rs.name, "dir", rs.src.Dir)
 			if f.cfg.OnIncident != nil {
 				f.cfg.OnIncident("stall", rs.err, rs.name)
 			}
@@ -247,65 +295,27 @@ func (f *Fleet) stallWatch(rs *runState) {
 	}
 }
 
-// runWorker tails one run directory to completion: the cmd/serve ingest
-// pattern (buffer until run.json reveals the models, then stream), followed
-// by finalize, archive, blame-profile build, and engine teardown.
+// runWorker takes one run from its source to completion: buffer until the
+// run metadata reveals the models, stream, then finalize, archive, build
+// the blame profile, and tear the engine down.
 func (f *Fleet) runWorker(rs *runState) {
 	defer f.wg.Done()
 	defer close(rs.done)
 
-	var (
-		pendingLog  []byte
-		pendingRows []rundir.MonitoringRow
-		buildErr    error
-	)
-	sink := rundir.FollowSink{
-		Info: func(info rundir.Info) {
-			e, acct, err := f.buildEngine(rs.name, info)
-			if err != nil {
-				buildErr = err
-				rs.requestStop()
-				return
-			}
-			if len(pendingLog) > 0 {
-				e.IngestChunk(pendingLog)
-			}
-			for _, row := range pendingRows {
-				e.IngestRow(row)
-			}
-			pendingLog, pendingRows = nil, nil
-			f.mu.Lock()
-			rs.info, rs.infoSet, rs.engine, rs.account = info, true, e, acct
-			f.mu.Unlock()
-			f.cfg.Logger.Info("fleet run ingesting",
-				"run", rs.name, "engine", info.Engine, "job", info.Job, "workers", info.Workers)
-		},
-		LogChunk: func(chunk []byte) {
-			f.mu.Lock()
-			e := rs.engine
-			f.mu.Unlock()
-			if e != nil {
-				e.IngestChunk(chunk)
-			} else {
-				pendingLog = append(pendingLog, chunk...)
-			}
-		},
-		MonitoringRow: func(row rundir.MonitoringRow) {
-			f.mu.Lock()
-			e := rs.engine
-			f.mu.Unlock()
-			if e != nil {
-				e.IngestRow(row)
-			} else {
-				pendingRows = append(pendingRows, row)
-			}
-		},
+	sink := &Sink{f: f, rs: rs}
+	feed := rs.src.Feed
+	if feed == nil {
+		dir := rs.src.Dir
+		feed = func(stop <-chan struct{}, sink *Sink) error {
+			return rundir.Follow(dir, rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}, stop,
+				rundir.FollowSink{Info: sink.Info, LogChunk: sink.LogChunk, MonitoringRow: sink.Row})
+		}
 	}
-	err := rundir.Follow(rs.dir, rundir.FollowOptions{Poll: f.cfg.Poll, Idle: f.cfg.Idle}, rs.stop, sink)
+	err := feed(rs.stop, sink)
 	if err == nil {
-		err = buildErr
+		err = sink.err
 	}
-	f.finishRun(rs, err)
+	f.finishRun(rs, sink.engine, err)
 
 	// Free the slot and start whatever the scheduler promotes.
 	promoted := f.sched.Release(rs.name)
@@ -318,17 +328,86 @@ func (f *Fleet) runWorker(rs *runState) {
 	f.mu.Unlock()
 }
 
-// finishRun finalizes the engine, archives the record, builds the blame
-// profile, and tears the engine down, settling the run's terminal status.
-func (f *Fleet) finishRun(rs *runState, followErr error) {
-	f.mu.Lock()
-	engine := rs.engine
-	stalled := rs.status == StatusStalled
-	f.mu.Unlock()
+// Sink takes one run's input from its Feed. Until the run metadata arrives
+// (Info), log bytes and monitoring rows buffer; Info builds the engine and
+// replays them. The engine stays local to the run's worker, so ingest takes
+// no fleet lock.
+type Sink struct {
+	f      *Fleet
+	rs     *runState
+	engine *stream.Engine
+	err    error
 
+	pendingLog  []byte
+	pendingRows []rundir.MonitoringRow
+}
+
+// Info delivers the run metadata; only the first call counts.
+func (s *Sink) Info(info rundir.Info) {
+	if s.engine != nil || s.err != nil {
+		return
+	}
+	acct := &obs.RunAccount{}
+	cfg, err := s.f.engineConfig(s.rs.name, info, s.rs.src.Tracer, acct)
+	if err == nil {
+		s.engine, err = stream.New(cfg)
+	}
+	if err != nil {
+		s.err = err
+		s.rs.requestStop()
+		return
+	}
+	e := s.engine
+	if len(s.pendingLog) > 0 {
+		e.IngestChunk(s.pendingLog)
+	}
+	for _, row := range s.pendingRows {
+		e.IngestRow(row)
+	}
+	s.pendingLog, s.pendingRows = nil, nil
+	s.f.mu.Lock()
+	s.rs.info, s.rs.infoSet, s.rs.engine, s.rs.account = info, true, e, acct
+	s.f.mu.Unlock()
+	s.f.cfg.Logger.Info("fleet run ingesting",
+		"run", s.rs.name, "engine", info.Engine, "job", info.Job, "workers", info.Workers)
+}
+
+// LogChunk delivers raw execution-log bytes in either enginelog format.
+func (s *Sink) LogChunk(chunk []byte) {
+	if s.engine != nil {
+		s.engine.IngestChunk(chunk)
+	} else {
+		s.pendingLog = append(s.pendingLog, chunk...)
+	}
+}
+
+// Event delivers one decoded log event. Only in-process feeds send events;
+// they know the run metadata up front and call Info first. Events after a
+// failed Info are dropped: the run is already stopping.
+func (s *Sink) Event(ev enginelog.Event) {
+	if s.engine != nil {
+		s.engine.IngestEvent(ev)
+	}
+}
+
+// Row delivers one monitoring sample.
+func (s *Sink) Row(row rundir.MonitoringRow) {
+	if s.engine != nil {
+		s.engine.IngestRow(row)
+	} else {
+		s.pendingRows = append(s.pendingRows, row)
+	}
+}
+
+// finishRun finalizes the engine, archives the record, evaluates alerts,
+// builds the blame profile, and tears the engine down (unless the run is
+// kept), settling the run's terminal status.
+func (f *Fleet) finishRun(rs *runState, engine *stream.Engine, followErr error) {
 	fail := func(err error) {
 		f.mu.Lock()
-		rs.engine = nil
+		if !rs.keep {
+			rs.engine = nil
+		}
 		if rs.status != StatusStalled {
 			rs.status = StatusFailed
 			rs.err = err.Error()
@@ -341,10 +420,13 @@ func (f *Fleet) finishRun(rs *runState, followErr error) {
 		return
 	}
 	if engine == nil {
+		f.mu.Lock()
+		stalled := rs.status == StatusStalled
+		f.mu.Unlock()
 		if stalled {
 			return // watchdog already settled the status
 		}
-		fail(fmt.Errorf("stopped before run metadata appeared in %s", rs.dir))
+		fail(fmt.Errorf("stopped before run metadata appeared in %s", rs.src.Dir))
 		return
 	}
 
@@ -355,7 +437,7 @@ func (f *Fleet) finishRun(rs *runState, followErr error) {
 	}
 	snap := engine.Snapshot()
 	rec := profstore.BuildRecord(rs.info, out)
-	rec.Label = "fleet:" + rs.name
+	rec.Label = rs.src.Label
 	var archiveID string
 	if f.cfg.Archive != nil {
 		meta, evicted, err := f.cfg.Archive.Put(rec)
@@ -379,26 +461,34 @@ func (f *Fleet) finishRun(rs *runState, followErr error) {
 			}
 		}
 	}
-	blame := BuildBlameProfile(rs.name, rs.info, out, f.cfg.BlameSlice)
+	blame := BuildBlameProfile(rs.name, rs.info, out, grade10.DefaultTimeslice)
 	makespan := int64(out.Trace.End.Sub(out.Trace.Start))
 
 	f.mu.Lock()
-	rs.engine = nil // teardown: the windows, provenance and raw inputs go
+	if !rs.keep {
+		rs.engine = nil // teardown: the windows, provenance and raw inputs go
+	}
 	rs.status = StatusDone
 	rs.bottlenecks = snap.Bottlenecks
 	rs.makespanNS = makespan
 	rs.archiveID = archiveID
 	rs.blame = blame
 	f.mu.Unlock()
+	st := snap.Stats
 	f.cfg.Logger.Info("fleet run done", "run", rs.name,
-		"makespan", vtime.Duration(makespan).String(), "archived", archiveID != "")
+		"makespan", vtime.Duration(makespan).String(), "archived", archiveID != "",
+		"events", st.Events, "skipped_lines", st.ParseErrors,
+		"samples", st.Samples, "windows", st.WindowsFlushed)
 }
 
-// buildEngine mirrors cmd/serve's sizing: models from the run metadata,
-// expected instance count from workers × monitored resources. Every fleet
-// engine carries a per-run overhead account so /fleet/runs and
-// /debug/overhead can report what characterizing the run cost.
-func (f *Fleet) buildEngine(name string, info rundir.Info) (*stream.Engine, *obs.RunAccount, error) {
+// engineConfig turns a run's metadata into its live stream.Config — the
+// one engine builder behind every service mode: models from the same entry
+// point as the batch CLI, the expected instance count from workers ×
+// monitored resources, the exact finalize the archive and blame need, the
+// fleet's sizing, and its alert and window-flush hooks. Every engine
+// carries a per-run overhead account so /fleet/runs and /debug/overhead can
+// report what characterizing the run cost.
+func (f *Fleet) engineConfig(name string, info rundir.Info, tracer *obs.Tracer, acct *obs.RunAccount) (stream.Config, error) {
 	models, err := grade10.ModelsForEngine(info.Engine, grade10.ModelParams{
 		Job:              info.Job,
 		Cores:            info.Cores,
@@ -407,34 +497,30 @@ func (f *Fleet) buildEngine(name string, info rundir.Info) (*stream.Engine, *obs
 		ThreadsPerWorker: info.ThreadsPerWorker,
 	})
 	if err != nil {
-		return nil, nil, err
+		return stream.Config{}, err
 	}
 	resources := 3 // cpu, net-in, net-out
 	if info.DiskBandwidth > 0 {
 		resources++
 	}
-	acct := &obs.RunAccount{}
 	cfg := stream.Config{
 		Models:            models,
+		Timeslice:         f.cfg.Timeslice,
 		WindowSlices:      f.cfg.WindowSlices,
 		MaxWindows:        f.cfg.MaxWindows,
 		ExpectedInstances: info.Workers * resources,
-		RetainForFinal:    true, // exact finalize feeds the archive and blame
+		RetainForFinal:    true,
 		Parallelism:       f.cfg.Parallelism,
+		Tracer:            tracer,
 		Explain:           f.cfg.Explain,
+		Alerts:            f.cfg.Alerts,
+		OnAlert:           f.cfg.OnAlert,
 		Account:           acct,
-	}
-	if f.cfg.Timeslice > 0 {
-		cfg.Timeslice = f.cfg.Timeslice
 	}
 	if hook := f.cfg.OnWindowFlush; hook != nil {
 		cfg.OnWindowFlush = func(wr *stream.WindowResult) { hook(name, wr) }
 	}
-	e, err := stream.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, acct, nil
+	return cfg, nil
 }
 
 // Watch polls watchDir for new subdirectories and registers each exactly
@@ -545,7 +631,7 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 	for _, name := range f.order {
 		rs := f.runs[name]
 		v := RunView{
-			Name: rs.name, Dir: rs.dir, Status: rs.status, Error: rs.err,
+			Name: rs.name, Dir: rs.src.Dir, Status: rs.status, Error: rs.err,
 			ArchiveID: rs.archiveID, MakespanNS: rs.makespanNS,
 		}
 		if rs.infoSet {
@@ -563,23 +649,6 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		snap.Runs = append(snap.Runs, v)
 	}
 	return snap
-}
-
-// DiffArchived structurally diffs two archived runs by ID (or unique prefix,
-// as the store resolves them), using the fleet's diff configuration.
-func (f *Fleet) DiffArchived(a, b string) (*profdiff.Report, error) {
-	if f.cfg.Archive == nil {
-		return nil, fmt.Errorf("fleet: no archive configured")
-	}
-	recA, errA := f.cfg.Archive.Get(a)
-	recB, errB := f.cfg.Archive.Get(b)
-	if errA != nil {
-		return nil, errA
-	}
-	if errB != nil {
-		return nil, errB
-	}
-	return profdiff.Diff(recA, recB, f.cfg.DiffCfg)
 }
 
 // EngineFor returns the live stream engine and run metadata for an actively
@@ -738,7 +807,7 @@ func (f *Fleet) Regressions(k int) ([]Regression, error) {
 			if err != nil {
 				continue
 			}
-			rep, err := profdiff.Diff(base, next, f.cfg.DiffCfg)
+			rep, err := profdiff.Diff(base, next, profdiff.Config{})
 			if err != nil {
 				continue
 			}
@@ -789,7 +858,7 @@ func (f *Fleet) Blame(target string) (*BlameReport, error) {
 	}
 	f.mu.Unlock()
 	return Blame(profiles, target, BlameConfig{
-		SliceWidth:  f.cfg.BlameSlice,
+		SliceWidth:  grade10.DefaultTimeslice,
 		Parallelism: f.cfg.Parallelism,
 	})
 }

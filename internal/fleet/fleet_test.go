@@ -397,9 +397,7 @@ func TestFleetServerEndpoints(t *testing.T) {
 		}
 	}()
 
-	srv := NewServer(f)
-	srv.RegisterMetrics(obs.NewRegistry())
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(serveFleet(f, obs.NewRegistry()))
 	defer ts.Close()
 
 	// Stage each run outside the watch dir and rename it in atomically, quiet
@@ -520,5 +518,49 @@ func TestFleetStallTeardown(t *testing.T) {
 	}
 	if _, _, err := f.Register(dir); err == nil {
 		t.Fatal("register after shutdown did not error")
+	}
+}
+
+// TestFleetAliasKeepsEngine: a watch-directory run archives as "fleet:NAME"
+// and releases its engine when it finishes; the alias run of a fleet of one
+// archives under its own label and keeps its engine for the single-run
+// endpoints.
+func TestFleetAliasKeepsEngine(t *testing.T) {
+	fx := getFleetFixture(t)
+	store, err := profstore.Open(t.TempDir(), profstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := New(Config{MaxActive: 2, QueueDepth: 2, Poll: testPoll, Idle: testIdle, Archive: store})
+	defer f.Shutdown(context.Background())
+	watched, alias := filepath.Join(t.TempDir(), "watched"), filepath.Join(t.TempDir(), "alias")
+	copyRun(t, fx.quietDir, watched, nil)
+	copyRun(t, fx.noisyDir, alias, nil)
+	if _, _, err := f.Register(watched); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := f.RegisterAlias(Source{Dir: alias, Label: "nightly"}); err != nil {
+		t.Fatal(err)
+	}
+	snap := waitSettled(t, f, 2, time.Minute)
+	labels := map[string]string{}
+	for _, r := range snap.Runs {
+		if r.Status != StatusDone {
+			t.Fatalf("run %+v not done", r)
+		}
+		rec, err := store.Get(r.ArchiveID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels[r.Name] = rec.Label
+	}
+	if labels["watched"] != "fleet:watched" || labels["alias"] != "nightly" {
+		t.Fatalf("archive labels = %v", labels)
+	}
+	if _, _, ok := f.EngineFor("watched"); ok {
+		t.Error("watch-directory run kept its engine after finishing")
+	}
+	if e, _, ok := f.EngineFor("alias"); !ok || e.Final() == nil {
+		t.Error("alias run released its engine or has no final profile")
 	}
 }

@@ -4,117 +4,42 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
-	"grade10/internal/alert"
 	"grade10/internal/obs"
-	"grade10/internal/profdiff"
 )
 
-// Server is the fleet-mode HTTP surface:
+// Mount serves the fleet on s:
 //
 //	GET  /fleet/runs           admission counters + every retained run
 //	POST /fleet/runs           register a run directory: {"dir": "..."}
 //	GET  /fleet/bottlenecks    top-K bottlenecks across all runs (?k=)
 //	GET  /fleet/regressions    top-K archive diff verdicts (?k=)
 //	GET  /fleet/blame          cross-job blame report (?run=)
-//	GET  /metrics              Prometheus text (when a registry is attached)
-//	GET  /healthz              liveness
-type Server struct {
-	fleet  *Fleet
-	mux    *http.ServeMux
-	routes []obs.Route
-
-	reg       *obs.Registry
-	httpm     *obs.HTTPMetrics
-	staleness *obs.GaugeVec
-	staleSeen map[string]bool
-
-	// alerts, when set via SetAlerts, serves the alert lifecycle on /alerts
-	// and refreshes the ALERTS series on every /metrics scrape.
-	alerts *alert.Evaluator
-	alertm *alert.Metrics
-}
-
-// NewServer wires the fleet behind its HTTP API.
-func NewServer(f *Fleet) *Server {
-	s := &Server{fleet: f, mux: http.NewServeMux()}
-	s.handle("/fleet/runs", "GET: admission counters + retained runs; POST: register a run directory", s.handleRuns)
-	s.handle("/fleet/bottlenecks", "top-K bottlenecks across all runs (?k=)", s.handleBottlenecks)
-	s.handle("/fleet/regressions", "top-K archive diff verdicts (?k=)", s.handleRegressions)
-	s.handle("/fleet/blame", "cross-job blame report (?run=)", s.handleBlame)
-	s.handle("/diff", "structural diff of two archived runs ?a=&b= (JSON; &format=text)", s.handleDiff)
-	s.handle("/metrics", "Prometheus text exposition", s.handleMetrics)
-	s.handle("/healthz", "liveness; 503 + degraded reasons (JSON) when runs stalled/failed or load shed", s.handleHealthz)
-	s.handle("/", "this endpoint index (JSON)", s.handleIndex)
-	return s
-}
-
-// handle registers a handler and records the route in the index/metrics
-// route table.
-func (s *Server) handle(path, desc string, h http.HandlerFunc) {
-	s.mux.HandleFunc(path, h)
-	s.routes = append(s.routes, obs.Route{Path: path, Desc: desc})
-}
-
-// Handle mounts an extra handler (e.g. the flight recorder's /logs and
-// /debug/bundles endpoints) on the server's mux and lists it in the GET /
-// endpoint index. Like the built-in routes it is wrapped by the HTTP metrics
-// middleware when a registry is set. Call before serving traffic.
-func (s *Server) Handle(path, desc string, h http.Handler) {
-	s.mux.Handle(path, h)
-	s.routes = append(s.routes, obs.Route{Path: path, Desc: desc})
-}
-
-// MountUI mounts the embedded visual profiler (internal/ui) under /ui/ and
-// /api/ and merges its route table into the endpoint index and the HTTP
-// metrics label space. Call before serving traffic.
-func (s *Server) MountUI(h http.Handler, routes []obs.Route) {
-	s.mux.Handle("/ui/", h)
-	s.mux.Handle("/api/", h)
-	s.mux.Handle("/ui", http.RedirectHandler("/ui/", http.StatusMovedPermanently))
-	s.routes = append(s.routes, routes...)
-}
-
-// ServeHTTP implements http.Handler. With a registry attached every request
-// is instrumented against its mounted route.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.httpm.Serve(obs.RouteLabel(s.routes, r.URL.Path), s.mux, w, r)
-}
-
-// handleIndex serves the JSON endpoint index: every mounted route with its
-// one-line description, sorted by path. Unknown paths answer 404.
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
+//	GET  /healthz              ok, or 503 + degraded reasons (JSON)
+//
+// With a registry it also exposes the admission counters and the per-run
+// staleness gauges on /metrics.
+func Mount(s *obs.Surface, f *Fleet) {
+	h := &routes{fleet: f}
+	s.Handle("/fleet/runs", "GET: admission counters + retained runs; POST: register a run directory", http.HandlerFunc(h.handleRuns))
+	s.Handle("/fleet/bottlenecks", "top-K bottlenecks across all runs (?k=)", http.HandlerFunc(h.handleBottlenecks))
+	s.Handle("/fleet/regressions", "top-K archive diff verdicts (?k=)", http.HandlerFunc(h.handleRegressions))
+	s.Handle("/fleet/blame", "cross-job blame report (?run=)", http.HandlerFunc(h.handleBlame))
+	s.Handle("/healthz", "liveness; 503 + degraded reasons (JSON) when runs are stale, stalled or failed, or load was shed", http.HandlerFunc(h.handleHealthz))
+	if reg := s.Registry(); reg != nil {
+		h.registerMetrics(reg)
 	}
-	routes := make([]obs.Route, len(s.routes))
-	copy(routes, s.routes)
-	sort.Slice(routes, func(i, j int) bool { return routes[i].Path < routes[j].Path })
-	ver, gover := obs.BuildInfo()
-	writeJSON(w, struct {
-		Service   string      `json:"service"`
-		Version   string      `json:"version"`
-		GoVersion string      `json:"go_version"`
-		Endpoints []obs.Route `json:"endpoints"`
-	}{"grade10 fleet characterization", ver, gover, routes})
 }
 
-// SetAlerts attaches the alerting evaluator: GET /alerts serves the rule
-// table, live instances, and transition history, and (when metrics are
-// registered) every /metrics scrape refreshes the ALERTS series first. Call
-// before serving traffic.
-func (s *Server) SetAlerts(ev *alert.Evaluator, m *alert.Metrics) {
-	s.alerts = ev
-	s.alertm = m
-	s.handle("/alerts", "alert rules, firing/pending/resolved instances, and history (JSON)", s.handleAlerts)
-}
+type routes struct {
+	fleet     *Fleet
+	staleness *obs.GaugeVec
 
-func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.alerts.Snapshot())
+	mu        sync.Mutex // concurrent scrapes refresh the gauges one at a time
+	staleSeen map[string]bool
 }
 
 // HealthView is the /healthz body: overall status plus every reason the
@@ -124,22 +49,30 @@ type HealthView struct {
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// Health enumerates the fleet's degraded conditions: stalled runs (metadata
-// never appeared), failed runs (ingest or finalize errored), and lifetime
-// load sheds. An empty reason list is a healthy fleet.
-func (s *Server) Health() HealthView {
-	snap := s.fleet.Snapshot()
+// Health enumerates the fleet's degraded conditions — the service's one
+// health source: stale runs (no input for Config.Stale), stalled runs
+// (metadata never appeared), failed runs (ingest or finalize errored), and
+// lifetime load sheds. An empty reason list is a healthy fleet.
+func (f *Fleet) Health() HealthView {
 	var reasons []string
-	for _, run := range snap.Runs {
-		switch run.Status {
+	f.mu.Lock()
+	for _, name := range f.order {
+		rs := f.runs[name]
+		switch rs.status {
 		case StatusStalled:
-			reasons = append(reasons, fmt.Sprintf("run %s stalled: %s", run.Name, run.Error))
+			reasons = append(reasons, fmt.Sprintf("run %s stalled: %s", name, rs.err))
 		case StatusFailed:
-			reasons = append(reasons, fmt.Sprintf("run %s failed: %s", run.Name, run.Error))
+			reasons = append(reasons, fmt.Sprintf("run %s failed: %s", name, rs.err))
+		}
+		if rs.engine != nil {
+			if stale, why := rs.engine.Stale(f.cfg.Stale); stale {
+				reasons = append(reasons, fmt.Sprintf("run %s stale: %s", name, why))
+			}
 		}
 	}
-	if snap.ShedTotal > 0 {
-		reasons = append(reasons, fmt.Sprintf("%d registration(s) shed at capacity", snap.ShedTotal))
+	f.mu.Unlock()
+	if _, _, shed := f.sched.Counts(); shed > 0 {
+		reasons = append(reasons, fmt.Sprintf("%d registration(s) shed at capacity", shed))
 	}
 	if len(reasons) > 0 {
 		return HealthView{Status: "degraded", Reasons: reasons}
@@ -147,72 +80,56 @@ func (s *Server) Health() HealthView {
 	return HealthView{Status: "ok"}
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := s.Health()
+func (h *routes) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	hv := h.fleet.Health()
 	w.Header().Set("Content-Type", "application/json")
-	if h.Status != "ok" {
+	if hv.Status != "ok" {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	writeJSONBody(w, h)
+	obs.WriteJSONBody(w, hv)
 }
 
-// RegisterMetrics exposes the fleet's backpressure counters and the per-run
-// staleness gauges on reg, routes /metrics through it, and turns on the
-// per-route HTTP request metrics.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
-	s.reg = reg
-	s.httpm = obs.NewHTTPMetrics(reg)
-	obs.RegisterBuildInfo(reg)
+// registerMetrics exposes the fleet's backpressure counters and the per-run
+// staleness gauges on reg.
+func (h *routes) registerMetrics(reg *obs.Registry) {
+	f := h.fleet
 	reg.GaugeFunc("grade10_fleet_runs_active",
 		"Runs currently ingesting (bounded by the admission scheduler).",
-		func() float64 { a, _, _ := s.fleet.Counts(); return float64(a) })
+		func() float64 { a, _, _ := f.Counts(); return float64(a) })
 	reg.GaugeFunc("grade10_fleet_runs_queued",
 		"Runs waiting in the admission backlog.",
-		func() float64 { _, q, _ := s.fleet.Counts(); return float64(q) })
+		func() float64 { _, q, _ := f.Counts(); return float64(q) })
 	reg.GaugeFunc("grade10_fleet_runs_shed_total",
 		"Registrations rejected because active slots and queue were full.",
-		func() float64 { _, _, sh := s.fleet.Counts(); return float64(sh) })
-	s.staleness = reg.GaugeVec("grade10_fleet_run_staleness_seconds",
+		func() float64 { _, _, sh := f.Counts(); return float64(sh) })
+	h.staleness = reg.GaugeVec("grade10_fleet_run_staleness_seconds",
 		"Wall-clock seconds since each active run last ingested input.", "run")
-	s.staleSeen = map[string]bool{}
+	h.staleSeen = map[string]bool{}
+	reg.AddScrapeHook(h.refreshStaleness)
 }
 
 // refreshStaleness re-points the per-run gauges at the current active set,
 // deleting series for runs that finished (graceful metric teardown).
-func (s *Server) refreshStaleness() {
-	if s.staleness == nil {
-		return
-	}
-	ages := s.fleet.Staleness()
-	for run := range s.staleSeen {
+func (h *routes) refreshStaleness() {
+	ages := h.fleet.Staleness()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for run := range h.staleSeen {
 		if _, live := ages[run]; !live {
-			s.staleness.Delete(run)
-			delete(s.staleSeen, run)
+			h.staleness.Delete(run)
+			delete(h.staleSeen, run)
 		}
 	}
 	for run, age := range ages {
-		s.staleness.With(run).Set(age)
-		s.staleSeen[run] = true
+		h.staleness.With(run).Set(age)
+		h.staleSeen[run] = true
 	}
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.reg == nil {
-		http.Error(w, "no metrics registry attached", http.StatusNotFound)
-		return
-	}
-	s.refreshStaleness()
-	if s.alertm != nil {
-		s.alertm.Refresh()
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WriteText(w)
-}
-
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
+func (h *routes) handleRuns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, s.fleet.Snapshot())
+		obs.WriteJSON(w, h.fleet.Snapshot())
 	case http.MethodPost:
 		var req struct {
 			Dir string `json:"dir"`
@@ -221,7 +138,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, `expected JSON body {"dir": "<run directory>"}`, http.StatusBadRequest)
 			return
 		}
-		name, d, err := s.fleet.Register(req.Dir)
+		name, d, err := h.fleet.Register(req.Dir)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
@@ -233,60 +150,39 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
-		writeJSONBody(w, map[string]string{"run": name, "decision": d.String()})
+		obs.WriteJSONBody(w, map[string]string{"run": name, "decision": d.String()})
 	default:
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 	}
 }
 
-func (s *Server) handleBottlenecks(w http.ResponseWriter, r *http.Request) {
+func (h *routes) handleBottlenecks(w http.ResponseWriter, r *http.Request) {
 	k := queryInt(r, "k", 10)
-	writeJSON(w, map[string]any{"bottlenecks": s.fleet.Bottlenecks(k)})
+	obs.WriteJSON(w, map[string]any{"bottlenecks": h.fleet.Bottlenecks(k)})
 }
 
-func (s *Server) handleRegressions(w http.ResponseWriter, r *http.Request) {
+func (h *routes) handleRegressions(w http.ResponseWriter, r *http.Request) {
 	k := queryInt(r, "k", 10)
-	regs, err := s.fleet.Regressions(k)
+	regs, err := h.fleet.Regressions(k)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	}
-	writeJSON(w, map[string]any{"regressions": regs})
+	obs.WriteJSON(w, map[string]any{"regressions": regs})
 }
 
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	idA, idB := r.URL.Query().Get("a"), r.URL.Query().Get("b")
-	if idA == "" || idB == "" {
-		http.Error(w, "need ?a=<run>&b=<run> (archive IDs or unique prefixes; see /fleet/runs)",
-			http.StatusBadRequest)
-		return
-	}
-	rep, err := s.fleet.DiffArchived(idA, idB)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = profdiff.WriteText(w, rep)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = profdiff.WriteJSON(w, rep)
-}
-
-func (s *Server) handleBlame(w http.ResponseWriter, r *http.Request) {
+func (h *routes) handleBlame(w http.ResponseWriter, r *http.Request) {
 	run := r.URL.Query().Get("run")
 	if run == "" {
 		http.Error(w, "missing ?run=<name>", http.StatusBadRequest)
 		return
 	}
-	rep, err := s.fleet.Blame(run)
+	rep, err := h.fleet.Blame(run)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, rep)
+	obs.WriteJSON(w, rep)
 }
 
 func queryInt(r *http.Request, key string, def int) int {
@@ -299,15 +195,4 @@ func queryInt(r *http.Request, key string, def int) int {
 		return def
 	}
 	return n
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	writeJSONBody(w, v)
-}
-
-func writeJSONBody(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -10,12 +10,18 @@ import (
 	"grade10/internal/obs"
 )
 
+// serveFleet mounts the fleet routes on a fresh surface; reg may be nil.
+func serveFleet(f *Fleet, reg *obs.Registry) *obs.Surface {
+	s := obs.NewSurface("grade10 fleet characterization", reg)
+	Mount(s, f)
+	return s
+}
+
 // TestFleetServerIndexJSON: GET / on the fleet server answers the JSON
 // endpoint index; unknown paths answer 404; with a registry attached the
 // per-route HTTP request families appear on /metrics.
 func TestFleetServerIndexJSON(t *testing.T) {
-	srv := NewServer(New(Config{MaxActive: 1, QueueDepth: 1}))
-	srv.RegisterMetrics(obs.NewRegistry())
+	srv := serveFleet(New(Config{MaxActive: 1, QueueDepth: 1}), obs.NewRegistry())
 
 	do := func(path string) (int, string, http.Header) {
 		rec := httptest.NewRecorder()

@@ -210,8 +210,12 @@ func (c *Capturer) CaptureSync(tr Trigger, detail string, runs []string) (*Manif
 // minimum interval.
 var ErrRateLimited = fmt.Errorf("flight: bundle capture rate-limited")
 
-// Close stops the worker after draining queued captures.
+// Close stops the worker after draining queued captures. A nil capturer
+// (bundle capture disabled) has nothing to close.
 func (c *Capturer) Close() {
+	if c == nil {
+		return
+	}
 	c.closeOnce.Do(func() { close(c.reqs) })
 	<-c.done
 }

@@ -99,7 +99,7 @@ type Config struct {
 	NoiseSeed    int64
 
 	// Tee, when set, observes every log event as it is emitted — the hook
-	// for live characterization (stream.Tap) while the engine runs. It is
+	// for live characterization (service.Tap) while the engine runs. It is
 	// called synchronously on the engine's goroutine.
 	Tee func(enginelog.Event)
 

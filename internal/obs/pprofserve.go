@@ -3,7 +3,6 @@ package obs
 import (
 	"net"
 	"net/http"
-	"net/http/pprof"
 )
 
 // ServePprof starts a standalone net/http/pprof listener on addr — the
@@ -12,17 +11,13 @@ import (
 // existing servers instead. It returns the bound address (useful with
 // ":0") and a shutdown func; the listener serves until shut down.
 func ServePprof(addr string) (bound string, shutdown func(), err error) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s := NewSurface("grade10 pprof", nil)
+	s.EnablePprof()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: s}
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() { _ = srv.Close() }, nil
 }

@@ -17,15 +17,10 @@ import (
 type FollowSink struct {
 	// Info fires once, as soon as run.json appears and parses.
 	Info func(Info)
-	// LogLine fires for every complete line appended to execution.log,
-	// including comments and malformed lines (the consumer's parser counts
-	// those). It assumes the text format; set LogChunk instead to accept
-	// either encoding.
-	LogLine func(string)
 	// LogChunk fires with every raw byte range appended to execution.log,
 	// whatever its format — the consumer feeds a format-detecting parser
-	// (e.g. stream.Engine.IngestChunk). The slice is only valid during the
-	// callback. When both LogChunk and LogLine are set, LogChunk wins.
+	// (e.g. stream.Engine.IngestChunk), which also counts malformed lines.
+	// The slice is only valid during the callback.
 	LogChunk func([]byte)
 	// MonitoringRow fires for every parsed monitoring.csv record.
 	MonitoringRow func(MonitoringRow)
@@ -53,34 +48,20 @@ func (o *FollowOptions) fill() {
 }
 
 // Follow tails a run directory while cmd/runsim (or any producer) is still
-// writing it, delivering log lines and monitoring rows to the sink as they
+// writing it, delivering log bytes and monitoring rows to the sink as they
 // land on disk. It handles files that do not exist yet and partially
 // written trailing lines. Follow returns when the run is complete (run.json
 // present and the data files idle), or when stop is closed.
 func Follow(dir string, opt FollowOptions, stop <-chan struct{}, sink FollowSink) error {
 	opt.fill()
-	logPath := filepath.Join(dir, logFile)
-	var drainLog func() (int64, error)
-	if sink.LogChunk != nil {
-		logTail := &byteTail{path: logPath}
-		drainLog = func() (int64, error) { return logTail.drain(sink.LogChunk) }
-	} else {
-		logTail := &lineTail{path: logPath}
-		drainLog = func() (int64, error) {
-			return logTail.drain(func(line string) {
-				if sink.LogLine != nil {
-					sink.LogLine(line)
-				}
-			})
-		}
-	}
+	logTail := &byteTail{path: filepath.Join(dir, logFile)}
 	monTail := &lineTail{path: filepath.Join(dir, monitoringFile)}
 	infoSeen := false
 	lastGrowth := time.Now()
 
 	for {
 		grew := false
-		n, err := drainLog()
+		n, err := logTail.drain(sink.LogChunk)
 		if err != nil {
 			return fmt.Errorf("rundir: following %s: %w", logFile, err)
 		}

@@ -74,10 +74,8 @@ func TestServerAlertEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
-	reg := obs.NewRegistry()
-	srv.SetRegistry(reg)
-	srv.SetAlerts(ev, alert.RegisterMetrics(reg, ev))
+	srv := serve(e, 0, obs.NewRegistry())
+	alert.Mount(srv, ev)
 	feedAll(e, f)
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)

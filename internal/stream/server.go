@@ -2,224 +2,129 @@ package stream
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"grade10/internal/alert"
 	"grade10/internal/explain"
 	"grade10/internal/obs"
 	"grade10/internal/report"
 	"grade10/internal/vtime"
 )
 
-// Server exposes an Engine's live profile over HTTP:
+// Mount serves one run's live profile on s:
 //
 //	/profile     full live snapshot (JSON)
 //	/phases      open phases and per-type aggregates (JSON)
 //	/bottlenecks cumulative bottleneck rows (JSON)
 //	/windows     the recent-window ring (JSON)
 //	/stats       ingest and robustness counters (JSON)
-//	/metrics     Prometheus text format
 //	/report      the final batch-identical report (text; 503 until finalized)
 //	/explain     provenance query ?q=... (JSON or ?format=text)
 //	/trace       Chrome trace-event JSON (self-trace + profile when final)
-//	/healthz     liveness; 503 degraded when ingest is stale
+//	/healthz     liveness; 503 degraded when ingest is older than staleAfter
 //
-// Server is an http.Handler; mount it on any mux or serve it directly.
-type Server struct {
-	engine *Engine
-	mux    *http.ServeMux
-	routes []obs.Route
+// plus the snapshot families on the surface's /metrics and, with a registry,
+// the engine's staleness and parser-health gauges. engine is asked on every
+// request; until it returns non-nil (the run's metadata has not arrived)
+// the profile routes answer 503 and /healthz answers ok. staleAfter <= 0
+// disables the staleness check.
+func Mount(s *obs.Surface, engine func() *Engine, staleAfter time.Duration) {
+	srv := &server{engine: engine, staleAfter: staleAfter}
+	s.Handle("/profile", "full live profile snapshot (JSON)", srv.live(srv.handleProfile))
+	s.Handle("/phases", "open phases and per-type aggregates (JSON)", srv.live(srv.handlePhases))
+	s.Handle("/bottlenecks", "cumulative bottleneck rows (JSON)", srv.live(srv.handleBottlenecks))
+	s.Handle("/windows", "recent analysis-window ring (JSON)", srv.live(srv.handleWindows))
+	s.Handle("/stats", "ingest and robustness counters (JSON)", srv.live(srv.handleStats))
+	s.Handle("/report", "exact final report (text; 503 until finalized)", srv.live(srv.handleReport))
+	s.Handle("/explain", "provenance query ?q=phase=.. machine=.. resource=.. (JSON or ?format=text)", srv.live(srv.handleExplain))
+	s.Handle("/trace", "Chrome trace-event JSON (Perfetto-loadable)", srv.live(srv.handleTrace))
+	s.Handle("/healthz", "liveness; 503 degraded when ingest is stale", http.HandlerFunc(srv.handleHealthz))
+	s.AddMetricsText(srv.writeMetrics)
+	if reg := s.Registry(); reg != nil {
+		srv.registerMetrics(reg)
+	}
+}
 
-	// staleAfter > 0 makes /healthz answer 503 when the last ingested input
-	// is older than the threshold (and the run is not finalized).
+// server holds one run's route handlers.
+type server struct {
+	engine     func() *Engine
 	staleAfter time.Duration
-	// registry, when set, has its families appended to /metrics.
-	registry *obs.Registry
-	// httpm instruments every request with per-route count and latency
-	// families on the registry; nil (no registry) serves uninstrumented.
-	httpm *obs.HTTPMetrics
-	// store, when set via SetStore, serves the profile archive endpoints
-	// (/runs, /runs/{id}, /diff) and the watchdog gauges.
-	store *storeState
-	// alerts, when set via SetAlerts, serves the alert lifecycle on /alerts
-	// and refreshes the ALERTS series on every /metrics scrape.
-	alerts *alert.Evaluator
-	alertm *alert.Metrics
 
 	mu         sync.Mutex
 	reportText []byte // cached render of the exact final report
 }
 
-// NewServer wraps an engine.
-func NewServer(e *Engine) *Server {
-	s := &Server{engine: e, mux: http.NewServeMux()}
-	s.handle("/profile", "full live profile snapshot (JSON)", s.handleProfile)
-	s.handle("/phases", "open phases and per-type aggregates (JSON)", s.handlePhases)
-	s.handle("/bottlenecks", "cumulative bottleneck rows (JSON)", s.handleBottlenecks)
-	s.handle("/windows", "recent analysis-window ring (JSON)", s.handleWindows)
-	s.handle("/stats", "ingest and robustness counters (JSON)", s.handleStats)
-	s.handle("/metrics", "Prometheus text exposition", s.handleMetrics)
-	s.handle("/report", "exact final report (text; 503 until finalized)", s.handleReport)
-	s.handle("/explain", "provenance query ?q=phase=.. machine=.. resource=.. (JSON or ?format=text)", s.handleExplain)
-	s.handle("/trace", "Chrome trace-event JSON (Perfetto-loadable)", s.handleTrace)
-	s.handle("/healthz", "liveness; 503 degraded when ingest is stale", s.handleHealthz)
-	s.handle("/", "this endpoint index (JSON)", s.handleIndex)
-	return s
+// live adapts a handler that needs the engine: until the run's metadata has
+// arrived there is none, and the route answers 503.
+func (s *server) live(h func(http.ResponseWriter, *http.Request, *Engine)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		e := s.engine()
+		if e == nil {
+			http.Error(w, "waiting for run metadata (run.json)", http.StatusServiceUnavailable)
+			return
+		}
+		h(w, r, e)
+	}
 }
 
-// handle registers a handler and records the route in the index/metrics
-// route table.
-func (s *Server) handle(path, desc string, h http.HandlerFunc) {
-	s.mux.HandleFunc(path, h)
-	s.routes = append(s.routes, obs.Route{Path: path, Desc: desc})
-}
-
-// Handle mounts an extra handler (e.g. the flight recorder's /logs and
-// /debug/bundles endpoints) on the server's mux and lists it in the GET /
-// endpoint index. Like the built-in routes it is wrapped by the HTTP metrics
-// middleware when a registry is set. Call before serving traffic.
-func (s *Server) Handle(path, desc string, h http.Handler) {
-	s.mux.Handle(path, h)
-	s.routes = append(s.routes, obs.Route{Path: path, Desc: desc})
-}
-
-// MountUI mounts the embedded visual profiler (internal/ui) under /ui/ and
-// /api/ and merges its route table into the endpoint index and the HTTP
-// metrics label space. Call before serving traffic.
-func (s *Server) MountUI(h http.Handler, routes []obs.Route) {
-	s.mux.Handle("/ui/", h)
-	s.mux.Handle("/api/", h)
-	s.mux.Handle("/ui", http.RedirectHandler("/ui/", http.StatusMovedPermanently))
-	s.routes = append(s.routes, routes...)
-}
-
-// SetStaleThreshold configures the /healthz degraded threshold; 0 disables
-// staleness checking (always healthy). Set before serving traffic.
-func (s *Server) SetStaleThreshold(d time.Duration) { s.staleAfter = d }
-
-// SetRegistry appends the registry's families (self-trace stage metrics, Go
-// runtime gauges, ...) to the /metrics exposition and turns on the per-route
-// HTTP request metrics (grade10_http_requests_total,
-// grade10_http_request_seconds). Set before serving.
-func (s *Server) SetRegistry(r *obs.Registry) {
-	s.registry = r
-	s.httpm = obs.NewHTTPMetrics(r)
-	obs.RegisterBuildInfo(r)
-}
-
-// SetAlerts attaches the alerting evaluator: GET /alerts serves the rule
-// table, live instances, and transition history, and (when metrics are
-// registered) every /metrics scrape refreshes the ALERTS series first. Call
-// before serving traffic.
-func (s *Server) SetAlerts(ev *alert.Evaluator, m *alert.Metrics) {
-	s.alerts = ev
-	s.alertm = m
-	s.handle("/alerts", "alert rules, firing/pending/resolved instances, and history (JSON)", s.handleAlerts)
-}
-
-func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.alerts.Snapshot())
-}
-
-// Degraded reports whether the server currently considers ingest stale, and
-// why. Always healthy with no threshold, or once finalized.
-func (s *Server) Degraded() (bool, string) {
-	if s.staleAfter <= 0 {
+// degraded reports whether ingest is stale, and why. Always healthy with no
+// threshold, before the engine exists, or once finalized.
+func (s *server) degraded() (bool, string) {
+	e := s.engine()
+	if e == nil {
 		return false, ""
 	}
-	age, finalized := s.engine.IngestAge()
-	if finalized || age <= s.staleAfter {
+	stale, why := e.Stale(s.staleAfter)
+	if !stale {
 		return false, ""
 	}
-	return true, fmt.Sprintf("degraded: last ingest %s ago (threshold %s)",
-		age.Round(time.Millisecond), s.staleAfter)
+	return true, "degraded: " + why
 }
 
-// RegisterEngineMetrics registers scrape-time gauges derived from the
-// engine's wall-clock state: ingest staleness, health, and the parser's
-// malformed-line count (enginelog.ParseStats, merged into Stats), so they
-// ride the same /metrics exposition as the tracer-fed stage families.
-func (s *Server) RegisterEngineMetrics(r *obs.Registry) {
-	if r == nil {
-		return
-	}
+// registerMetrics registers scrape-time gauges derived from the engine's
+// wall-clock state: ingest staleness, health, and the parser's
+// malformed-line count (enginelog.ParseStats, merged into Stats).
+func (s *server) registerMetrics(r *obs.Registry) {
 	start := time.Now()
+	stat := func(fn func(*Engine) float64) func() float64 {
+		return func() float64 {
+			if e := s.engine(); e != nil {
+				return fn(e)
+			}
+			return 0
+		}
+	}
 	r.GaugeFunc("grade10_uptime_seconds", "Wall-clock seconds since the service started.",
 		func() float64 { return time.Since(start).Seconds() })
 	r.GaugeFunc("grade10_last_ingest_age_seconds",
 		"Wall-clock seconds since the last ingested event, line, or sample.",
-		func() float64 { age, _ := s.engine.IngestAge(); return age.Seconds() })
+		stat(func(e *Engine) float64 { age, _ := e.IngestAge(); return age.Seconds() }))
 	r.GaugeFunc("grade10_health_degraded",
 		"1 when /healthz reports degraded (ingest older than the staleness threshold).",
 		func() float64 {
-			if degraded, _ := s.Degraded(); degraded {
+			if degraded, _ := s.degraded(); degraded {
 				return 1
 			}
 			return 0
 		})
 	r.GaugeFunc("grade10_parser_malformed_lines",
 		"Malformed log lines counted by the enginelog parser (ParseStats).",
-		func() float64 { return float64(s.engine.Stats().ParseErrors) })
+		stat(func(e *Engine) float64 { return float64(e.Stats().ParseErrors) }))
 }
 
-// ServeHTTP implements http.Handler. With a registry attached every request
-// is instrumented against its mounted route.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.httpm.Serve(obs.RouteLabel(s.routes, r.URL.Path), s.mux, w, r)
+func (s *server) handleProfile(w http.ResponseWriter, _ *http.Request, e *Engine) {
+	obs.WriteJSON(w, e.Snapshot())
 }
 
-// EnablePprof mounts the net/http/pprof profiling endpoints under
-// /debug/pprof/ on the server's mux, so a live characterization service can
-// itself be profiled (CPU, heap, goroutines) while it ingests a run.
-func (s *Server) EnablePprof() {
-	s.handle("/debug/pprof/", "net/http/pprof profiling index", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// handleIndex serves the JSON endpoint index: every mounted route with its
-// one-line description, sorted by path. Unknown paths answer 404.
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	routes := make([]obs.Route, len(s.routes))
-	copy(routes, s.routes)
-	sort.Slice(routes, func(i, j int) bool { return routes[i].Path < routes[j].Path })
-	ver, gover := obs.BuildInfo()
-	writeJSON(w, struct {
-		Service   string      `json:"service"`
-		Version   string      `json:"version"`
-		GoVersion string      `json:"go_version"`
-		Endpoints []obs.Route `json:"endpoints"`
-	}{"grade10 live characterization", ver, gover, routes})
-}
-
-func (s *Server) handleProfile(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.engine.Snapshot())
-}
-
-func (s *Server) handlePhases(w http.ResponseWriter, _ *http.Request) {
-	snap := s.engine.Snapshot()
-	writeJSON(w, struct {
+func (s *server) handlePhases(w http.ResponseWriter, _ *http.Request, e *Engine) {
+	snap := e.Snapshot()
+	obs.WriteJSON(w, struct {
 		WatermarkSeconds float64                 `json:"watermark_seconds"`
 		OpenPhases       []OpenPhase             `json:"open_phases"`
 		PhaseTypes       []TypeSummary           `json:"phase_types"`
@@ -227,29 +132,29 @@ func (s *Server) handlePhases(w http.ResponseWriter, _ *http.Request) {
 	}{snap.WatermarkSeconds, snap.OpenPhases, snap.PhaseTypes, snap.Counters})
 }
 
-func (s *Server) handleBottlenecks(w http.ResponseWriter, _ *http.Request) {
-	snap := s.engine.Snapshot()
-	writeJSON(w, struct {
+func (s *server) handleBottlenecks(w http.ResponseWriter, _ *http.Request, e *Engine) {
+	snap := e.Snapshot()
+	obs.WriteJSON(w, struct {
 		Coverage    float64             `json:"coverage"`
 		Bottlenecks []BottleneckSummary `json:"bottlenecks"`
 	}{snap.Coverage, snap.Bottlenecks})
 }
 
-func (s *Server) handleWindows(w http.ResponseWriter, _ *http.Request) {
-	snap := s.engine.Snapshot()
-	writeJSON(w, struct {
+func (s *server) handleWindows(w http.ResponseWriter, _ *http.Request, e *Engine) {
+	snap := e.Snapshot()
+	obs.WriteJSON(w, struct {
 		WindowSeconds float64         `json:"window_seconds"`
 		Windows       []*WindowResult `json:"windows"`
 	}{snap.WindowSeconds, snap.Windows})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.engine.Stats())
+func (s *server) handleStats(w http.ResponseWriter, _ *http.Request, e *Engine) {
+	obs.WriteJSON(w, e.Stats())
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if degraded, reason := s.Degraded(); degraded {
+	if degraded, reason := s.degraded(); degraded {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, reason)
 		return
@@ -261,14 +166,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // provenance: one exact full-run derivation once finalized in retain mode,
 // else one derivation per retained window overlapping the query. JSON by
 // default; ?format=text renders the human-readable derivation chains.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleExplain(w http.ResponseWriter, r *http.Request, e *Engine) {
 	queryStr := r.URL.Query().Get("q")
 	if queryStr == "" {
 		http.Error(w, "missing ?q=<query> (grammar: phase=<type-path> machine=<m> resource=<name> [t0..t1])",
 			http.StatusBadRequest)
 		return
 	}
-	derivs, err := s.engine.Explain(queryStr)
+	derivs, err := e.Explain(queryStr)
 	if err != nil {
 		status := http.StatusUnprocessableEntity
 		var pe *explain.ParseError
@@ -294,7 +199,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, struct {
+	obs.WriteJSON(w, struct {
 		Query       string             `json:"query"`
 		Derivations []WindowDerivation `json:"derivations"`
 	}{queryStr, derivs})
@@ -303,9 +208,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // handleTrace serves the combined Chrome trace-event export: the pipeline's
 // self-trace spans plus, once the run is finalized in retain mode, the
 // analyzed job's profile tracks.
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	out, _, _ := s.engine.FinalStatus()
-	tracer := s.engine.Tracer()
+func (s *server) handleTrace(w http.ResponseWriter, _ *http.Request, e *Engine) {
+	out, _, _ := e.FinalStatus()
+	tracer := e.Tracer()
 	if out == nil && tracer == nil {
 		http.Error(w, "tracing disabled and no finalized profile", http.StatusServiceUnavailable)
 		return
@@ -323,8 +228,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 // handleReport serves the exact final report. Until Finalize has run it
 // answers 503; in bounded mode (no retained inputs) it points at the live
 // endpoints instead.
-func (s *Server) handleReport(w http.ResponseWriter, _ *http.Request) {
-	out, finalized, err := s.engine.FinalStatus()
+func (s *server) handleReport(w http.ResponseWriter, _ *http.Request, e *Engine) {
+	out, finalized, err := e.FinalStatus()
 	switch {
 	case !finalized:
 		http.Error(w, "run still in progress; try /profile", http.StatusServiceUnavailable)
@@ -383,10 +288,15 @@ func (p *promWriter) value(labels string, v float64) {
 	fmt.Fprintf(p.w, "%s{%s} %g\n", p.cur, labels, v)
 }
 
-// handleMetrics renders the live profile in Prometheus text exposition
-// format (hand-rolled; no client library).
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.engine.Snapshot()
+// writeMetrics renders the live profile in Prometheus text exposition
+// format (hand-rolled; no client library). The surface appends its registry
+// families after these.
+func (s *server) writeMetrics(w io.Writer) {
+	e := s.engine()
+	if e == nil {
+		return
+	}
+	snap := e.Snapshot()
 	p := &promWriter{w: &bytes.Buffer{}}
 
 	p.family("grade10_ingest_lines_total", "Log lines seen by the parser.", "counter")
@@ -414,9 +324,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.family("grade10_windows_flushed_total", "Analysis windows flushed.", "counter")
 	p.value("", float64(snap.Stats.WindowsFlushed))
 	p.family("grade10_explain_queries_total", "Explain queries served by the provenance engine.", "counter")
-	p.value("", float64(s.engine.ExplainQueries()))
+	p.value("", float64(e.ExplainQueries()))
 	p.family("grade10_provenance_bytes", "Approximate retained size of the captured attribution provenance.", "gauge")
-	p.value("", float64(s.engine.ProvenanceBytes()))
+	p.value("", float64(e.ProvenanceBytes()))
 
 	p.family("grade10_open_phases", "Phases currently executing.", "gauge")
 	p.value("", float64(len(snap.OpenPhases)))
@@ -469,17 +379,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	// Registry-fed families (self-trace stage metrics, runtime gauges,
-	// staleness) append after the hand-rolled snapshot families. The ALERTS
-	// series are rebuilt from the evaluator first so every scrape sees the
-	// current lifecycle.
-	if s.alertm != nil {
-		s.alertm.Refresh()
-	}
-	if s.registry != nil {
-		_ = s.registry.WriteText(p.w)
-	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write(p.w.Bytes())
 }

@@ -19,7 +19,7 @@ func TestServerIndexJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
+	srv := serve(e, 0, nil)
 
 	code, body, hdr := get(t, srv, "/")
 	if code != http.StatusOK {
@@ -72,8 +72,7 @@ func TestServerHTTPMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
-	srv.SetRegistry(obs.NewRegistry())
+	srv := serve(e, 0, obs.NewRegistry())
 
 	for i := 0; i < 2; i++ {
 		if code, _, _ := get(t, srv, "/stats"); code != http.StatusOK {

@@ -26,8 +26,7 @@ func TestHealthzStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
-	srv.SetStaleThreshold(5 * time.Second)
+	srv := serve(e, 5*time.Second, nil)
 
 	if code, _, _ := get(t, srv, "/healthz"); code != http.StatusOK {
 		t.Fatalf("fresh engine: /healthz %d, want 200", code)
@@ -69,7 +68,7 @@ func TestHealthzStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := stream.NewServer(e2)
+	srv2 := serve(e2, 0, nil)
 	now = now.Add(time.Hour)
 	if code, _, _ := get(t, srv2, "/healthz"); code != http.StatusOK {
 		t.Fatalf("no threshold: /healthz %d, want 200", code)
@@ -87,7 +86,7 @@ func TestServerTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code, _, _ := get(t, stream.NewServer(bare), "/trace"); code != http.StatusServiceUnavailable {
+	if code, _, _ := get(t, serve(bare, 0, nil), "/trace"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/trace with nothing to export: %d, want 503", code)
 	}
 
@@ -99,7 +98,7 @@ func TestServerTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
+	srv := serve(e, 0, nil)
 	feedAll(e, f)
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)
@@ -156,12 +155,10 @@ func TestMetricsRegistryFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 	obs.BridgeTracer(reg, tracer)
-	srv.RegisterEngineMetrics(reg)
-	srv.SetRegistry(reg)
+	srv := serve(e, 0, reg)
 
 	feedAll(e, f)
 	if _, err := e.Finalize(); err != nil {

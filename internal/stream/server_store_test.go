@@ -14,22 +14,20 @@ import (
 
 // storeServer builds a server over a throwaway engine with an attached
 // archive holding a baseline and a regressed synthetic record.
-func storeServer(t *testing.T) (*stream.Server, *obs.Registry, string, string) {
+func storeServer(t *testing.T) (*obs.Surface, *obs.Registry, string, string) {
 	t.Helper()
 	f := getFixture(t)
 	e, err := stream.New(stream.Config{Models: f.models, ExpectedInstances: len(f.monitoring)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
 	store, err := profstore.Open(t.TempDir(), profstore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetStore(store, profdiff.Config{})
 	reg := obs.NewRegistry()
-	srv.RegisterStoreMetrics(reg)
-	srv.SetRegistry(reg)
+	srv := serve(e, 0, reg)
+	stream.MountArchive(srv, store)
 
 	const sec = int64(1_000_000_000)
 	base := &profstore.Record{
@@ -54,11 +52,11 @@ func storeServer(t *testing.T) (*stream.Server, *obs.Registry, string, string) {
 				Resource: "cpu", UnitSeconds: 33},
 		},
 	}
-	ma, _, err := srv.ArchiveRecord(base)
+	ma, _, err := store.Put(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, _, err := srv.ArchiveRecord(slow)
+	mb, _, err := store.Put(slow)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,21 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"grade10/internal/obs"
 	"grade10/internal/stream"
 )
 
-func get(t *testing.T, s *stream.Server, path string) (int, string, http.Header) {
+// serve mounts the single-run routes for e on a fresh surface; reg may be
+// nil, staleAfter 0 disables the staleness check.
+func serve(e *stream.Engine, staleAfter time.Duration, reg *obs.Registry) *obs.Surface {
+	s := obs.NewSurface("grade10 live characterization", reg)
+	stream.Mount(s, func() *stream.Engine { return e }, staleAfter)
+	return s
+}
+
+func get(t *testing.T, s http.Handler, path string) (int, string, http.Header) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
@@ -29,7 +39,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
+	srv := serve(e, 0, nil)
 
 	// Half the log ingested: the run is "still executing".
 	lines := strings.Split(f.logText, "\n")
@@ -135,7 +145,7 @@ func TestServerBoundedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := stream.NewServer(e)
+	srv := serve(e, 0, nil)
 	feedAll(e, f)
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"grade10/internal/attribution"
 	"grade10/internal/bottleneck"
 	"grade10/internal/core"
-	"grade10/internal/enginelog"
 )
 
 // WindowInstance is one resource instance's profile within one window.
@@ -266,13 +265,6 @@ func (e *Engine) statsLocked() Stats {
 	st.ParseErrors = int64(ps.Skipped)
 	st.Truncated += int64(ps.Truncated)
 	return st
-}
-
-// ParserStats returns the raw line-parser statistics.
-func (e *Engine) ParserStats() enginelog.ParseStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parser.Stats()
 }
 
 // Snapshot captures the live profile. The result shares no mutable state

@@ -45,7 +45,6 @@ import (
 	"grade10/internal/enginelog"
 	"grade10/internal/explain"
 	"grade10/internal/grade10"
-	"grade10/internal/issues"
 	"grade10/internal/metrics"
 	"grade10/internal/obs"
 	"grade10/internal/rundir"
@@ -72,9 +71,6 @@ type Config struct {
 	// Finalize can run the exact batch pipeline. Disable for strictly
 	// bounded memory; Finalize then returns only the windowed aggregates.
 	RetainForFinal bool
-	// Bottleneck and Issues tune detection; zero values take defaults.
-	Bottleneck bottleneck.Config
-	Issues     issues.Config
 	// Parallelism is the worker count for per-window attribution and, in
 	// retain mode, the final batch pipeline. Results are identical for every
 	// value; 0 takes par.Default().
@@ -144,7 +140,9 @@ type Stats struct {
 	// invalid ones (unknown phase, duplicate start, end before start);
 	// LateEvents counts blocking intervals that began before the flushed
 	// frontier (their window was computed without them); DroppedEvents
-	// counts events shed by a bounded ingest buffer (Tap).
+	// counts events shed before ingest — none today: the in-process tap
+	// (service.Tap) blocks instead, and the field stays for the
+	// dropped_events alert metric and its /metrics family.
 	Events        int64 `json:"events"`
 	InvalidEvents int64 `json:"invalid_events"`
 	LateEvents    int64 `json:"late_events"`
@@ -306,6 +304,21 @@ func (e *Engine) IngestAge() (age time.Duration, finalized bool) {
 	return e.cfg.Now().Sub(e.lastIngest), e.finalized
 }
 
+// Stale reports whether the engine's input is older than after while the
+// run is still open and, if so, why ("last ingest 10s ago (threshold 5s)").
+// after <= 0 disables the check. This is the one staleness rule: the
+// single-run /healthz and the fleet's health both ask it.
+func (e *Engine) Stale(after time.Duration) (bool, string) {
+	if after <= 0 {
+		return false, ""
+	}
+	age, finalized := e.IngestAge()
+	if finalized || age <= after {
+		return false, ""
+	}
+	return true, fmt.Sprintf("last ingest %s ago (threshold %s)", age.Round(time.Millisecond), after)
+}
+
 // Timeslice returns the engine's analysis granularity.
 func (e *Engine) Timeslice() vtime.Duration { return e.cfg.Timeslice }
 
@@ -357,13 +370,6 @@ func (e *Engine) IngestEvent(ev enginelog.Event) {
 	defer e.mu.Unlock()
 	e.lastIngest = e.cfg.Now()
 	e.ingestEventLocked(ev)
-}
-
-// CountDropped records events shed by a bounded ingest buffer.
-func (e *Engine) CountDropped(n int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats.DroppedEvents += n
 }
 
 func (e *Engine) ingestEventLocked(ev enginelog.Event) {
@@ -729,7 +735,7 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 		span.End()
 		return // unreachable: windows are never empty
 	}
-	rep := bottleneck.DetectWindow(prof, e.cfg.Bottleneck)
+	rep := bottleneck.DetectWindow(prof, bottleneck.Config{})
 	wr := e.foldWindowLocked(win, prof, rep)
 	if e.cfg.OnWindowFlush != nil {
 		e.cfg.OnWindowFlush(wr)
@@ -741,9 +747,6 @@ func (e *Engine) flushWindowLocked(w0, w1 vtime.Time) {
 	}
 	if rec != nil {
 		ex := explain.NewExplainer(prof, rec)
-		if e.cfg.Bottleneck.SaturationThreshold > 0 {
-			ex.SaturationThreshold = e.cfg.Bottleneck.SaturationThreshold
-		}
 		e.winEx = append(e.winEx, &windowExplainer{W0: w0, W1: w1, Ex: ex})
 		if over := len(e.winEx) - e.cfg.MaxWindows; over > 0 {
 			e.winEx = append(e.winEx[:0], e.winEx[over:]...)
@@ -914,14 +917,12 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 		return nil, e.finalErr
 	}
 	in := grade10.Input{
-		Log:              &enginelog.Log{Events: e.events},
-		Monitoring:       e.monitoringLocked(),
-		Models:           e.cfg.Models,
-		Timeslice:        e.cfg.Timeslice,
-		BottleneckConfig: e.cfg.Bottleneck,
-		IssueConfig:      e.cfg.Issues,
-		Parallelism:      e.cfg.Parallelism,
-		Tracer:           e.cfg.Tracer,
+		Log:         &enginelog.Log{Events: e.events},
+		Monitoring:  e.monitoringLocked(),
+		Models:      e.cfg.Models,
+		Timeslice:   e.cfg.Timeslice,
+		Parallelism: e.cfg.Parallelism,
+		Tracer:      e.cfg.Tracer,
 	}
 	var rec *explain.Recorder
 	if e.cfg.Explain {
@@ -942,11 +943,7 @@ func (e *Engine) Finalize() (*grade10.Output, error) {
 		a.AddAlloc(int64(obs.HeapAllocBytes() - finAlloc0))
 	}
 	if e.finalErr == nil && rec != nil {
-		ex := explain.NewExplainer(e.finalOut.Profile, rec)
-		if e.cfg.Bottleneck.SaturationThreshold > 0 {
-			ex.SaturationThreshold = e.cfg.Bottleneck.SaturationThreshold
-		}
-		e.finalEx = ex
+		e.finalEx = explain.NewExplainer(e.finalOut.Profile, rec)
 	}
 	return e.finalOut, e.finalErr
 }

@@ -3,7 +3,6 @@ package ui
 import (
 	"crypto/sha256"
 	"embed"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"path"
@@ -69,7 +68,7 @@ func loadAssets() map[string]asset {
 // Cache-Control no-cache makes clients revalidate each load, and a matching
 // If-None-Match answers 304 without a body, so iterating on a live service
 // stays cheap without ever serving a stale asset.
-func (s *Server) handleAssets(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleAssets(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/ui/")
 	if name == "" {
 		name = "index.html"
@@ -87,13 +86,4 @@ func (s *Server) handleAssets(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", a.ctype)
 	_, _ = w.Write(a.body)
-}
-
-// writeJSON renders a view model. Encoding is deterministic for these types:
-// slices are pre-sorted by the builders and encoding/json orders map keys.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

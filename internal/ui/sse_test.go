@@ -85,7 +85,7 @@ func (c *sseClient) next(t *testing.T, want string) string {
 // final` when the engine finalizes.
 func TestSSEWindowFrames(t *testing.T) {
 	broker := ui.NewBroker(0)
-	s := ui.NewServer(ui.Config{Broker: broker})
+	s := mountUI(ui.Config{Broker: broker})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -129,7 +129,7 @@ func TestSSEAlertFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := alert.NewEvaluator(rules, nil, alert.Config{})
-	s := ui.NewServer(ui.Config{Broker: broker, Alerts: ev})
+	s := mountUI(ui.Config{Broker: broker, Alerts: ev})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -180,7 +180,7 @@ func TestSSESlowSubscriberDropped(t *testing.T) {
 	reg := obs.NewRegistry()
 	broker := ui.NewBroker(2) // tiny queue so the test overflows it fast
 	broker.RegisterMetrics(reg)
-	s := ui.NewServer(ui.Config{Broker: broker})
+	s := mountUI(ui.Config{Broker: broker})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -280,7 +280,7 @@ func TestSSESubscriberGaugePaths(t *testing.T) {
 	reg := obs.NewRegistry()
 	broker := ui.NewBroker(2) // tiny queue so the slow-drop path triggers fast
 	broker.RegisterMetrics(reg)
-	s := ui.NewServer(ui.Config{Broker: broker})
+	s := mountUI(ui.Config{Broker: broker})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 

@@ -1,7 +1,7 @@
 // Package ui is the embedded visual profiler: a zero-dependency browser UI
 // (hand-written HTML/CSS/JS, go:embed-ed — no CDN, no npm) plus the
 // render-ready view-model endpoints it draws from. It mounts under /ui/ and
-// /api/ on the serve and fleet servers (their MountUI), shaping the existing
+// /api/ on the service's HTTP surface (Mount), shaping the existing
 // profile, window, trace, and fleet data:
 //
 //	/ui/           embedded assets (ETag/304, Cache-Control)
@@ -9,7 +9,7 @@
 //	/api/heatmap   phase-type tree × machine attribution heatmap (JSON)
 //	/api/timeline  per-machine lanes: phases, blocked intervals, bottlenecks
 //	/api/comms     cross-machine communication matrix estimate (JSON)
-//	/api/events    SSE window-flush stream (single-run mode with a Broker)
+//	/api/events    SSE alert stream, plus window flushes in single-run mode (with a Broker)
 //
 // Every /api endpoint is deterministic: byte-identical JSON at every engine
 // parallelism. In fleet mode the endpoints take ?run=<name> and resolve
@@ -28,9 +28,12 @@ import (
 
 // Config selects the data sources behind the view models.
 type Config struct {
-	// Engine backs single-run mode; nil in fleet mode.
-	Engine *stream.Engine
-	// Fleet backs fleet mode (?run= resolution); nil in single-run mode.
+	// Engine backs single-run mode: requests without ?run= resolve to the
+	// engine it returns, and while it returns nil (run metadata not seen
+	// yet) they answer 503. Nil in fleet mode.
+	Engine func() *stream.Engine
+	// Fleet resolves ?run= against the fleet's engines and, when set, serves
+	// /api/overhead from its per-run accounts.
 	Fleet *fleet.Fleet
 	// Broker, when set, serves the /api/events SSE stream. Wire its
 	// OnWindowFlush into the engine's stream.Config to feed it, and its
@@ -39,48 +42,40 @@ type Config struct {
 	// Alerts, when set, serves /api/alerts (the same lifecycle snapshot as
 	// the host server's /alerts) so the banner can catch up on connect.
 	Alerts *alert.Evaluator
-	// Overhead, when set, serves /api/overhead — per-run framework overhead
-	// rows, most expensive first — behind the overview's overhead panel.
-	// Fleet mode wires (*fleet.Fleet).Overhead; single-run mode wraps the
-	// engine's one account.
-	Overhead func() []obs.RunOverhead
 }
 
-// Server is the embedded profiler's http.Handler. Mount it with the serve or
-// fleet server's MountUI, passing Routes() so the endpoints join the host's
-// JSON index and HTTP-metrics label space.
-type Server struct {
-	cfg    Config
-	mux    *http.ServeMux
-	routes []obs.Route
-	assets map[string]asset
-}
-
-// NewServer builds the profiler handler.
-func NewServer(cfg Config) *Server {
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), assets: loadAssets()}
-	s.handle("/ui/", "embedded visual profiler (HTML/CSS/JS)", s.handleAssets)
-	s.handle("/api/overview", "profiler overview view model (JSON)", s.handleOverview)
-	s.handle("/api/heatmap", "phase × machine attribution heatmap view model (JSON)", s.handleHeatmap)
-	s.handle("/api/timeline", "per-machine timeline view model (JSON)", s.handleTimeline)
-	s.handle("/api/comms", "cross-machine communication matrix estimate (JSON)", s.handleComms)
+// Mount serves the profiler on s: the embedded assets under /ui/ and the
+// view models under /api/, listed in the surface's JSON index and
+// HTTP-metrics label space.
+func Mount(s *obs.Surface, cfg Config) {
+	u := &server{cfg: cfg, assets: loadAssets()}
+	s.Handle("/ui/", "embedded visual profiler (HTML/CSS/JS)", http.HandlerFunc(u.handleAssets))
+	s.Handle("/api/overview", "profiler overview view model (JSON)", http.HandlerFunc(u.handleOverview))
+	s.Handle("/api/heatmap", "phase × machine attribution heatmap view model (JSON)", http.HandlerFunc(u.handleHeatmap))
+	s.Handle("/api/timeline", "per-machine timeline view model (JSON)", http.HandlerFunc(u.handleTimeline))
+	s.Handle("/api/comms", "cross-machine communication matrix estimate (JSON)", http.HandlerFunc(u.handleComms))
 	if cfg.Broker != nil {
-		s.handle("/api/events", "SSE window-flush and alert stream", cfg.Broker.ServeHTTP)
+		s.Handle("/api/events", "SSE window-flush and alert stream", cfg.Broker)
 	}
 	if cfg.Alerts != nil {
-		s.handle("/api/alerts", "alert lifecycle snapshot for the banner (JSON)", s.handleAlerts)
+		s.Handle("/api/alerts", "alert lifecycle snapshot for the banner (JSON)", http.HandlerFunc(u.handleAlerts))
 	}
-	if cfg.Overhead != nil {
-		s.handle("/api/overhead", "per-run framework overhead, most expensive first (JSON)", s.handleOverhead)
+	if cfg.Fleet != nil {
+		s.Handle("/api/overhead", "per-run framework overhead, most expensive first (JSON)", http.HandlerFunc(u.handleOverhead))
 	}
-	return s
+}
+
+// server holds the profiler's handlers.
+type server struct {
+	cfg    Config
+	assets map[string]asset
 }
 
 // handleOverhead serves the overhead panel's rows: every run's accrued
 // framework cost, most expensive by wall time first, capped at ?top= rows
 // (default all).
-func (s *Server) handleOverhead(w http.ResponseWriter, r *http.Request) {
-	runs := s.cfg.Overhead()
+func (s *server) handleOverhead(w http.ResponseWriter, r *http.Request) {
+	runs := s.cfg.Fleet.Overhead()
 	if runs == nil {
 		runs = []obs.RunOverhead{}
 	}
@@ -89,33 +84,26 @@ func (s *Server) handleOverhead(w http.ResponseWriter, r *http.Request) {
 			runs = runs[:n]
 		}
 	}
-	writeJSON(w, struct {
+	obs.WriteJSON(w, struct {
 		Runs []obs.RunOverhead `json:"runs"`
 	}{runs})
 }
 
-func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.cfg.Alerts.Snapshot())
+func (s *server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
+	obs.WriteJSON(w, s.cfg.Alerts.Snapshot())
 }
-
-func (s *Server) handle(path, desc string, h http.HandlerFunc) {
-	s.mux.HandleFunc(path, h)
-	s.routes = append(s.routes, obs.Route{Path: path, Desc: desc})
-}
-
-// Routes returns the mounted routes for the host server's endpoint index.
-func (s *Server) Routes() []obs.Route { return s.routes }
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
 // resolveEngine picks the engine answering this request: the configured one
 // in single-run mode, the named active run's in fleet mode. It writes the
 // HTTP error itself when resolution fails.
-func (s *Server) resolveEngine(w http.ResponseWriter, r *http.Request) (*stream.Engine, string, bool) {
+func (s *server) resolveEngine(w http.ResponseWriter, r *http.Request) (*stream.Engine, string, bool) {
 	run := r.URL.Query().Get("run")
 	if s.cfg.Engine != nil && run == "" {
-		return s.cfg.Engine, "", true
+		if e := s.cfg.Engine(); e != nil {
+			return e, "", true
+		}
+		http.Error(w, "waiting for run metadata (run.json)", http.StatusServiceUnavailable)
+		return nil, "", false
 	}
 	if s.cfg.Fleet != nil {
 		if run == "" {
@@ -138,20 +126,20 @@ func (s *Server) resolveEngine(w http.ResponseWriter, r *http.Request) (*stream.
 	return nil, "", false
 }
 
-func (s *Server) mode() string {
-	if s.cfg.Fleet != nil {
-		return "fleet"
+func (s *server) mode() string {
+	if s.cfg.Engine != nil {
+		return "single"
 	}
-	return "single"
+	return "fleet"
 }
 
-func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleOverview(w http.ResponseWriter, r *http.Request) {
 	e, run, ok := s.resolveEngine(w, r)
 	if !ok {
 		return
 	}
 	sse := s.cfg.Broker != nil
-	writeJSON(w, buildOverview(e.Snapshot(), s.mode(), run, sse, e.ExplainEnabled()))
+	obs.WriteJSON(w, buildOverview(e.Snapshot(), s.mode(), run, sse, e.ExplainEnabled()))
 }
 
 // heatCells prefers the exact finalized profile (cells then match /explain
@@ -163,32 +151,32 @@ func heatCells(e *stream.Engine) ([]stream.HeatCell, string) {
 	return e.HeatCells(), "windows"
 }
 
-func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	e, _, ok := s.resolveEngine(w, r)
 	if !ok {
 		return
 	}
 	cells, source := heatCells(e)
-	writeJSON(w, buildHeatmap(cells, source))
+	obs.WriteJSON(w, buildHeatmap(cells, source))
 }
 
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	e, _, ok := s.resolveEngine(w, r)
 	if !ok {
 		return
 	}
 	if out := e.Final(); out != nil && out.Trace != nil {
-		writeJSON(w, buildFinalTimeline(out.Trace, out.Bottlenecks))
+		obs.WriteJSON(w, buildFinalTimeline(out.Trace, out.Bottlenecks))
 		return
 	}
-	writeJSON(w, buildLiveTimeline(e.Snapshot()))
+	obs.WriteJSON(w, buildLiveTimeline(e.Snapshot()))
 }
 
-func (s *Server) handleComms(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleComms(w http.ResponseWriter, r *http.Request) {
 	e, _, ok := s.resolveEngine(w, r)
 	if !ok {
 		return
 	}
 	cells, source := heatCells(e)
-	writeJSON(w, buildComms(cells, source))
+	obs.WriteJSON(w, buildComms(cells, source))
 }

@@ -75,6 +75,19 @@ func getFixture(t *testing.T) *fixture {
 	return fix
 }
 
+// mountUI serves the profiler alone on a fresh surface.
+func mountUI(cfg ui.Config) *obs.Surface {
+	s := obs.NewSurface("grade10 live characterization", nil)
+	ui.Mount(s, cfg)
+	return s
+}
+
+// fixed serves one engine from the start, as a single-run service does once
+// the run metadata has arrived.
+func fixed(e *stream.Engine) func() *stream.Engine {
+	return func() *stream.Engine { return e }
+}
+
 // engineAt builds a retained, provenance-capturing engine at the given
 // parallelism and feeds it the whole run (without finalizing).
 func engineAt(t *testing.T, f *fixture, parallelism int) *stream.Engine {
@@ -137,8 +150,8 @@ func TestViewModelDeterminism(t *testing.T) {
 	f := getFixture(t)
 	e1 := engineAt(t, f, 1)
 	e8 := engineAt(t, f, 8)
-	s1 := ui.NewServer(ui.Config{Engine: e1})
-	s8 := ui.NewServer(ui.Config{Engine: e8})
+	s1 := mountUI(ui.Config{Engine: fixed(e1)})
+	s8 := mountUI(ui.Config{Engine: fixed(e8)})
 
 	for _, path := range []string{"/api/heatmap", "/api/timeline", "/api/comms", "/api/overview"} {
 		c1, b1, _ := getBody(t, s1, path)
@@ -188,7 +201,7 @@ func TestExplainMatchesHeatmapCell(t *testing.T) {
 	if _, err := e.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	s := ui.NewServer(ui.Config{Engine: e})
+	s := mountUI(ui.Config{Engine: fixed(e)})
 
 	code, body, _ := getBody(t, s, "/api/heatmap")
 	if code != http.StatusOK {
@@ -253,10 +266,9 @@ func closeTo(a, b float64) bool {
 func TestMountUI(t *testing.T) {
 	f := getFixture(t)
 	e := engineAt(t, f, 2)
-	host := stream.NewServer(e)
-	host.SetRegistry(obs.NewRegistry())
-	uis := ui.NewServer(ui.Config{Engine: e})
-	host.MountUI(uis, uis.Routes())
+	host := obs.NewSurface("grade10 live characterization", obs.NewRegistry())
+	stream.Mount(host, fixed(e), 0)
+	ui.Mount(host, ui.Config{Engine: fixed(e)})
 
 	code, body, hdr := getBody(t, host, "/ui/")
 	if code != http.StatusOK {
@@ -296,7 +308,7 @@ func TestMountUI(t *testing.T) {
 // the profiler works air-gapped.
 func TestAssets(t *testing.T) {
 	f := getFixture(t)
-	s := ui.NewServer(ui.Config{Engine: engineAt(t, f, 1)})
+	s := mountUI(ui.Config{Engine: fixed(engineAt(t, f, 1))})
 
 	for _, path := range []string{"/ui/", "/ui/app.js", "/ui/style.css"} {
 		code, body, hdr := getBody(t, s, path)
